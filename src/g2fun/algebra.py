@@ -129,7 +129,8 @@ def _product_terms(
             continue
         if not is_admissible(target, w):
             # Wall exponents must cancel inside the bag for the target symmetry.
-            assert c == 0, f"wall exponent {w} survived with coefficient {c}"
+            if c:
+                raise RuntimeError(f"wall exponent {w} survived with coefficient {c}")
             continue
         if c:
             terms.append((w, c))
@@ -162,7 +163,8 @@ def _char_terms(variant: str, lam: Weight) -> tuple[tuple[Weight, int], ...]:
         nu = max(work, key=lambda w: (height(w), w))
         c = work[nu]
         mu = nu - shift
-        assert mu.is_dominant, f"peeling escaped the dominant cone at {nu}"
+        if not mu.is_dominant:
+            raise RuntimeError(f"peeling escaped the dominant cone at {nu}")
         coeffs[mu] = coeffs.get(mu, 0) + c
         for w, k in _product_terms(fam, shift, C, mu):
             work[w] = work.get(w, 0) - c * k

@@ -55,7 +55,8 @@ def power_class(e: FiniteOrderElement, k: int) -> KacPoint:
     q = fold_to_F(Point(k * Fraction(x.x1), k * Fraction(x.x2)))
     t1 = Fraction(q.x1) * M
     t2 = Fraction(q.x2) * M
-    assert t1.denominator == 1 and t2.denominator == 1
+    if t1.denominator != 1 or t2.denominator != 1:
+        raise RuntimeError(f"power {k} of {e.kac} left the level-{M} lattice")
     t1, t2 = int(t1), int(t2)
     t0 = M - 2 * t1 - 3 * t2
     g = math.gcd(t0, math.gcd(t1, t2))

@@ -28,10 +28,9 @@ from .algebra import expand_char_in_C, expand_product, product_check, target_fam
 from .arith import enumerate_efo, is_rational, rational_table
 from .lattice import grid_points, grid_to_json, spectrum
 from .orbitfn import evaluate
-from .rootsys import C, FAMILIES, Family, Point, S, SL, SS, Weight
+from .rootsys import Family, Point, Weight, family_by_tag
 
 _FORMATS = ("text", "json", "csv", "latex")
-_FAMILY_BY_TAG = {f.tag: f for f in FAMILIES}
 
 
 @dataclass(frozen=True)
@@ -39,15 +38,12 @@ class Config:
     """Options shared by every subcommand."""
 
     fmt: str = "text"
-    quad_order: int = 40
     tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.fmt not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}, got {self.fmt!r}")
-        if self.quad_order < 2:
-            raise ValueError(f"quadrature order must be >= 2, got {self.quad_order}")
         if self.tol <= 0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
         if self.seed < 0:
@@ -59,10 +55,7 @@ class UsageError(Exception):
 
 
 def _family(tag: str) -> Family:
-    fam = _FAMILY_BY_TAG.get(tag.upper())
-    if fam is None:
-        raise UsageError(f"unknown family {tag!r}; choose from C, S, SL, SS")
-    return fam
+    return family_by_tag(tag.upper())
 
 
 def _weight(a: str, b: str) -> Weight:
@@ -99,8 +92,11 @@ def _read_field(path: str, family: Family, M: int) -> transforms.SampledField:
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
         field = transforms.field_from_json(text)
-        if field.M != M:
-            raise UsageError(f"field in {path} has M={field.M}, expected {M}")
+        if field.M != M or field.family not in (None, family):
+            raise UsageError(
+                f"field in {path} is for {field.family}/M={field.M}, "
+                f"expected {family}/M={M}"
+            )
         return transforms.SampledField(M, field.values, family)
     return transforms.field_from_csv(text, M, family)
 
@@ -429,10 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write the output to this file")
     common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument(
-        "--quad-order", type=int, default=40,
-        help="Gauss-Legendre order per axis for continuous integrals",
-    )
-    common.add_argument(
         "--tol", type=float, default=1e-9,
         help="tolerance for numerical checks (default: 1e-9)",
     )
@@ -520,8 +512,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = Config(fmt=args.fmt, quad_order=args.quad_order,
-                     tol=args.tol, seed=args.seed)
+        cfg = Config(fmt=args.fmt, tol=args.tol, seed=args.seed)
         if getattr(args, "point", None) is not None and len(args.point) not in (0, 2):
             raise UsageError("a point needs exactly two coordinates")
         if getattr(args, "point", None) == []:

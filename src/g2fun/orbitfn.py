@@ -136,8 +136,10 @@ def dimension(lam: Weight) -> int:
         * (3 * a + b + 4)
         * (3 * a + 2 * b + 5)
     )
-    assert total % 120 == 0
-    return total // 120
+    q, r = divmod(total, 120)
+    if r:
+        raise RuntimeError(f"dimension polynomial of {Weight(a, b)} is not divisible by 120")
+    return q
 
 
 #: The three walls of the fundamental domain.

@@ -149,6 +149,15 @@ SS = Family("SS", 1, -1)
 FAMILIES = (C, S, SL, SS)
 
 
+def family_by_tag(tag: str) -> Family:
+    """The family with the given tag (exact match)."""
+    for family in FAMILIES:
+        if family.tag == tag:
+            return family
+    known = ", ".join(f.tag for f in FAMILIES)
+    raise ValueError(f"unknown family {tag!r}; choose from {known}")
+
+
 def omega_to_alpha(w: Weight) -> tuple[int, int]:
     """Coordinates of a weight in the simple-root basis."""
     return (2 * w.a + w.b, 3 * w.a + 2 * w.b)
@@ -191,6 +200,49 @@ def reflect_point(k: int, p: Point) -> Point:
 def affine_reflect(p: Point) -> Point:
     """Reflection in the wall 2*x1 + 3*x2 = 1 opposite the origin."""
     return Point(1 - p.x1 - 3 * p.x2, p.x2)
+
+
+class WeylElement(NamedTuple):
+    """One element of the Weyl group as an integer matrix on point coordinates.
+
+    `parity` counts, mod 2, the r1 and r2 letters of any word for the
+    element; it is well defined because both sign characters are
+    homomorphisms.  The transposes of the matrices act on the
+    simple-root coordinates of weights (as the inverse elements).
+    """
+
+    matrix: tuple[tuple[int, int], tuple[int, int]]
+    parity: tuple[int, int]
+
+    def sign(self, family: Family) -> int:
+        return family.sigma_r1 ** self.parity[0] * family.sigma_r2 ** self.parity[1]
+
+
+def _close_weyl_group() -> tuple[WeylElement, ...]:
+    # Columns of each matrix are the images of the two co-weight basis
+    # vectors; left-multiplying by a simple reflection flips one parity.
+    def times(k: int, m):
+        c1 = reflect_point(k, Point(m[0][0], m[1][0]))
+        c2 = reflect_point(k, Point(m[0][1], m[1][1]))
+        return ((c1.x1, c2.x1), (c1.x2, c2.x2))
+
+    parities = {((1, 0), (0, 1)): (0, 0)}
+    stack = list(parities)
+    while stack:
+        m = stack.pop()
+        p1, p2 = parities[m]
+        for k in (1, 2):
+            r = times(k, m)
+            if r not in parities:
+                parities[r] = (p1 ^ (k == 1), p2 ^ (k == 2))
+                stack.append(r)
+    if len(parities) != 12:
+        raise RuntimeError(f"Weyl group closed to {len(parities)} elements, not 12")
+    return tuple(WeylElement(m, p) for m, p in parities.items())
+
+
+#: The 12 elements of the Weyl group, identity first.
+WEYL_GROUP = _close_weyl_group()
 
 
 def is_admissible(family: Family, lam: Weight) -> bool:

@@ -2,8 +2,14 @@
 
 Everything operates on the real renormalized basis functions, so fields
 and coefficient vectors are plain real arrays for all four families.
-Forward/inverse transforms are matrix-free on top of a cached sampled
-basis per (family, level).
+
+The level-M grid is a fundamental domain of the Weyl group acting on
+the finite torus (Z/M)^2, and on that torus every family value is a
+signed sum of characters over a Weyl orbit.  Forward and inverse
+transforms therefore extend the data to the whole torus with the
+family signs and take one 2-D FFT: O(M^2 log M) time and O(M^2) memory
+per call.  `basis_matrix`, the dense sampled basis they are equivalent
+to, is the reference oracle for tests and Gram checks only.
 """
 
 from __future__ import annotations
@@ -20,11 +26,21 @@ import numpy as np
 
 from .lattice import Grid, grid_points, spectrum
 from .orbitfn import sample_values
-from .rootsys import C, Family, S, SL, SS, Weight
-
-_FAMILY_BY_TAG = {f.tag: f for f in (C, S, SL, SS)}
+from .rootsys import WEYL_GROUP, Family, Weight, family_by_tag, omega_to_alpha
 
 SQRT3 = math.sqrt(3.0)
+
+
+def _finite_values(values, what: str) -> np.ndarray:
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{what} must be real numbers: {exc}") from None
+    if arr.ndim != 1:
+        raise ValueError(f"{what} must be a flat list of numbers")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite (found NaN or infinity)")
+    return arr
 
 
 @dataclass
@@ -36,7 +52,7 @@ class SampledField:
     family: Optional[Family] = None
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = _finite_values(self.values, "field values")
         if len(self.values) != len(grid_points(self.M)):
             raise ValueError(
                 f"expected {len(grid_points(self.M))} values for level {self.M}, "
@@ -53,7 +69,7 @@ class CoefficientVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = _finite_values(self.values, "coefficients")
         if len(self.values) != len(spectrum(self.family, self.M)):
             raise ValueError(
                 f"expected {len(spectrum(self.family, self.M))} coefficients "
@@ -78,15 +94,16 @@ def sample_on_grid(family: Family, lam: Weight, M: int) -> SampledField:
     return SampledField(M, sample_values(family, lam, x1, x2), family)
 
 
-@lru_cache(maxsize=None)
 def basis_matrix(family: Family, M: int) -> np.ndarray:
-    """Sampled basis, one row per spectrum weight, one column per grid point."""
+    """Sampled basis, one row per spectrum weight, one column per grid point.
+
+    The dense reference for `forward` and `inverse`; O(N^2) time and memory.
+    """
     x1, x2, _ = _grid_arrays(M)
     sp = spectrum(family, M)
     mat = np.zeros((len(sp), len(x1)))
     for i, (lam, _) in enumerate(sp.entries):
         mat[i] = sample_values(family, lam, x1, x2)
-    mat.flags.writeable = False
     return mat
 
 
@@ -104,43 +121,94 @@ def norm_constants(family: Family, M: int) -> np.ndarray:
     return np.array([12.0 * M * M * float(h) for _, h in sp.entries])
 
 
+_WEYL_MATRICES = np.array([w.matrix for w in WEYL_GROUP])
+
+
+@lru_cache(maxsize=None)
+def _signs(family: Family) -> np.ndarray:
+    signs = np.array([w.sign(family) for w in WEYL_GROUP], dtype=float)
+    signs.flags.writeable = False
+    return signs
+
+
+@lru_cache(maxsize=None)
+def _torus_images(M: int) -> np.ndarray:
+    """Flat torus index s1 * M + s2 of w.s mod M, one row per Weyl element
+    (identity first), one column per grid point s."""
+    s = np.array([(kp.s1, kp.s2) for kp in grid_points(M).points]).T
+    images = (_WEYL_MATRICES @ s) % M
+    flat = images[:, 0] * M + images[:, 1]
+    flat.flags.writeable = False
+    return flat
+
+
+@lru_cache(maxsize=None)
+def _spectral_table(family: Family, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Torus frequencies of the spectrum weights and their stabilizer sizes.
+
+    Returns the flat frequency index of w.lam mod M (rows as in
+    `_torus_images`, columns in spectrum order), |Stab lam| and the
+    forward divisor |Stab lam| * M^2 * h.
+    """
+    sp = spectrum(family, M)
+    k = np.array([omega_to_alpha(lam) for lam, _ in sp.entries], dtype=int).reshape(-1, 2).T
+    images = _WEYL_MATRICES.transpose(0, 2, 1) @ k
+    stab = (images == images[0]).all(axis=1).sum(axis=0).astype(float)
+    freq = (images[:, 0] % M) * M + images[:, 1] % M
+    divisor = stab * (M * M) * np.array([float(h) for _, h in sp.entries])
+    for arr in (freq, stab, divisor):
+        arr.flags.writeable = False
+    return freq, stab, divisor
+
+
 def forward(family: Family, M: int, f: SampledField) -> CoefficientVector:
-    """Analysis: project a sampled field onto the family's discrete basis."""
+    """Analysis: project a sampled field onto the family's discrete basis.
+
+    The field is extended to the torus as sigma(w) * f(s) at w.s (points
+    on the family's antisymmetric walls carry no information and are
+    zeroed), and coefficient lam is read from its 2-D FFT at the
+    frequency of lam.
+    """
     if f.M != M:
         raise ValueError(f"field is sampled at level {f.M}, not {M}")
-    _, _, w = _grid_arrays(M)
-    coeffs = basis_matrix(family, M) @ (w * f.values)
-    return CoefficientVector(family, M, coeffs / norm_constants(family, M))
+    freq, _, divisor = _spectral_table(family, M)
+    values = np.where(support_mask(family, M), f.values, 0.0)
+    torus = np.zeros(M * M)
+    torus[_torus_images(M)] = _signs(family)[:, None] * values
+    spec = np.fft.fft2(torus.reshape(M, M)).ravel()[freq[0]].conj()
+    part = spec.real if family.real_valued else spec.imag
+    return CoefficientVector(family, M, part / divisor)
 
 
 def inverse(family: Family, M: int, d: CoefficientVector) -> SampledField:
-    """Synthesis: rebuild grid values from spectrum coefficients."""
+    """Synthesis: rebuild grid values from spectrum coefficients.
+
+    Each coefficient is spread over the torus frequencies of its Weyl
+    orbit (members may coincide mod M, hence the bincount) and one
+    inverse 2-D FFT is read back at the grid points.
+    """
     if d.family != family or d.M != M:
         raise ValueError(f"coefficients belong to {d.family} at level {d.M}")
-    if len(d.values) == 0:
-        return SampledField(M, np.zeros(len(grid_points(M))), family)
-    return SampledField(M, d.values @ basis_matrix(family, M), family)
+    freq, stab, _ = _spectral_table(family, M)
+    amplitudes = _signs(family)[:, None] * (d.values / stab)
+    spec = np.bincount(freq.ravel(), weights=amplitudes.ravel(), minlength=M * M)
+    torus = np.fft.ifft2(spec.reshape(M, M)).ravel()[_torus_images(M)[0]] * (M * M)
+    return SampledField(M, torus.real if family.real_valued else torus.imag, family)
 
 
+@lru_cache(maxsize=None)
 def support_mask(family: Family, M: int) -> np.ndarray:
     """Grid points where the family's basis does not vanish identically.
 
-    The antisymmetric walls of each family zero out the corresponding
-    border points; on the remaining points the sampled basis is square
-    and invertible.
+    A point is dropped when some Weyl element fixes it on the torus with
+    family sign -1 (it lies on an antisymmetric wall); on the remaining
+    points the sampled basis is square and invertible.  Read-only.
     """
-    grid = grid_points(M)
-    if family == C:
-        keep = [True] * len(grid)
-    elif family == S:
-        keep = [kp.s0 > 0 and kp.s1 > 0 and kp.s2 > 0 for kp in grid.points]
-    elif family == SL:
-        keep = [kp.s0 > 0 and kp.s1 > 0 for kp in grid.points]
-    elif family == SS:
-        keep = [kp.s2 > 0 for kp in grid.points]
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return np.array(keep)
+    images = _torus_images(M)
+    flips = (images == images[0]) & (_signs(family)[:, None] < 0)
+    keep = ~flips.any(axis=0)
+    keep.flags.writeable = False
+    return keep
 
 
 @lru_cache(maxsize=None)
@@ -191,11 +259,26 @@ def field_to_json(f: SampledField) -> str:
     )
 
 
-def field_from_json(text: str) -> SampledField:
+def _json_object(text: str, *keys: str) -> dict:
     data = json.loads(text)
+    missing = [k for k in keys if not isinstance(data, dict) or k not in data]
+    if missing:
+        raise ValueError(f"JSON input lacks key(s) {', '.join(missing)}")
+    return data
+
+
+def _level(value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"level M must be an integer, got {value!r}") from None
+
+
+def field_from_json(text: str) -> SampledField:
+    data = _json_object(text, "M", "values")
     tag = data.get("family")
-    family = None if tag is None else _FAMILY_BY_TAG[tag]
-    return SampledField(int(data["M"]), data["values"], family)
+    family = None if tag is None else family_by_tag(tag)
+    return SampledField(_level(data["M"]), data["values"], family)
 
 
 def coefficients_to_json(d: CoefficientVector) -> str:
@@ -205,9 +288,9 @@ def coefficients_to_json(d: CoefficientVector) -> str:
 
 
 def coefficients_from_json(text: str) -> CoefficientVector:
-    data = json.loads(text)
+    data = _json_object(text, "family", "M", "values")
     return CoefficientVector(
-        _FAMILY_BY_TAG[data["family"]], int(data["M"]), data["values"]
+        family_by_tag(data["family"]), _level(data["M"]), data["values"]
     )
 
 
@@ -221,17 +304,30 @@ def field_to_csv(f: SampledField) -> str:
     return out.getvalue()
 
 
+def _csv_rows(text: str, *columns: str) -> list[tuple[str, ...]]:
+    reader = csv.DictReader(io.StringIO(text))
+    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"CSV input lacks column(s) {', '.join(missing)}")
+    rows = []
+    for row in reader:
+        cells = tuple(row[c] for c in columns)
+        if None in cells:
+            raise ValueError(f"CSV line {reader.line_num} has too few cells")
+        rows.append(cells)
+    return rows
+
+
 def field_from_csv(text: str, M: int, family: Optional[Family] = None) -> SampledField:
-    rows = list(csv.DictReader(io.StringIO(text)))
     grid = grid_points(M)
     by_kac = {(kp.s0, kp.s1, kp.s2): i for i, kp in enumerate(grid.points)}
     values = np.zeros(len(grid))
     seen = 0
-    for row in rows:
-        key = (int(row["s0"]), int(row["s1"]), int(row["s2"]))
+    for s0, s1, s2, value in _csv_rows(text, "s0", "s1", "s2", "value"):
+        key = (int(s0), int(s1), int(s2))
         if key not in by_kac:
             raise ValueError(f"row {key} is not a level-{M} grid point")
-        values[by_kac[key]] = float(row["value"])
+        values[by_kac[key]] = float(value)
         seen += 1
     if seen != len(grid):
         raise ValueError(f"expected {len(grid)} rows, got {seen}")
@@ -248,16 +344,15 @@ def coefficients_to_csv(d: CoefficientVector) -> str:
 
 
 def coefficients_from_csv(text: str, family: Family, M: int) -> CoefficientVector:
-    rows = list(csv.DictReader(io.StringIO(text)))
     sp = spectrum(family, M)
     index = {w: i for i, w in enumerate(sp.weights())}
     values = np.zeros(len(sp))
     seen = 0
-    for row in rows:
-        lam = Weight(int(row["a"]), int(row["b"]))
+    for a, b, value in _csv_rows(text, "a", "b", "value"):
+        lam = Weight(int(a), int(b))
         if lam not in index:
             raise ValueError(f"{lam} is not in the {family} spectrum at level {M}")
-        values[index[lam]] = float(row["value"])
+        values[index[lam]] = float(value)
         seen += 1
     if seen != len(sp):
         raise ValueError(f"expected {len(sp)} rows, got {seen}")

@@ -137,6 +137,51 @@ def test_transform_missing_file_is_a_usage_error(capsys):
     assert code == 2 and err
 
 
+def _bad_field_files(tmp_path):
+    n = g.grid_size(6)
+    nan = [float("nan")] + [0.0] * (n - 1)
+    records = {
+        "nan": {"M": 6, "family": "C", "values": nan},
+        "wrong-tag": {"M": 6, "family": "S", "values": [0.0] * n},
+        "unknown-tag": {"M": 6, "family": "Q", "values": [0.0] * n},
+    }
+    paths = {}
+    for name, record in records.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(record))
+    return paths
+
+
+@pytest.mark.parametrize("name", ["nan", "wrong-tag", "unknown-tag"])
+def test_transform_rejects_bad_field_file(tmp_path, name):
+    path = _bad_field_files(tmp_path)[name]
+    proc = subprocess.run(
+        [sys.executable, "-m", "g2fun", "transform", "C", "6",
+         "--forward", str(path), "--roundtrip"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("tag", ["S", "Q"])
+def test_transform_rejects_bad_coefficient_tag(tmp_path, capsys, tag):
+    path = tmp_path / "coef.json"
+    path.write_text(json.dumps({"M": 6, "family": tag, "values": [0.0]}))
+    code, _, err = run(capsys, "transform", "C", "6", "--inverse", str(path))
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_nan_coefficients_are_a_usage_error(tmp_path, capsys):
+    n = len(g.spectrum(C, 6))
+    path = tmp_path / "coef.json"
+    path.write_text(json.dumps({"M": 6, "family": "C", "values": [float("nan")] * n}))
+    code, _, err = run(capsys, "transform", "C", "6", "--inverse", str(path), "--roundtrip")
+    assert code == 2 and "finite" in err
+
+
 # ------------------------------------------------------------ decompose
 
 

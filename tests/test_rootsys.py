@@ -11,6 +11,8 @@ import g2fun as g
 from g2fun import C, S, SL, SS, Point, Weight
 
 from conftest import (
+    POINT_MATRICES,
+    WEYL_EUCLID,
     ALPHA1,
     ALPHA2,
     ALPHA1V,
@@ -95,6 +97,32 @@ def test_affine_reflection_fixes_the_slant_wall():
     r = g.rootsys.affine_reflect(q)
     assert r == Point(Fraction(3, 5), Fraction(1, 10))
     assert g.rootsys.affine_reflect(r) == q
+
+
+def test_weyl_group_table_matches_independent_closures():
+    table = g.rootsys.WEYL_GROUP
+    assert table[0].matrix == ((1, 0), (0, 1)) and table[0].parity == (0, 0)
+    assert sorted(w.matrix for w in table) == POINT_MATRICES
+    # each integer matrix is a Euclidean group element with the same letter parities
+    basis = [point_vec((1, 0)), point_vec((0, 1))]
+    for w in table:
+        images = [point_vec((w.matrix[0][j], w.matrix[1][j])) for j in (0, 1)]
+        (_, s1, s2), = [
+            e for e in WEYL_EUCLID
+            if all(np.allclose(e[0] @ v, u) for v, u in zip(basis, images))
+        ]
+        assert (s1, s2) == ((-1) ** w.parity[0], (-1) ** w.parity[1])
+        for fam in (C, S, SL, SS):
+            want = (s1 if fam.sigma_r1 < 0 else 1) * (s2 if fam.sigma_r2 < 0 else 1)
+            assert w.sign(fam) == want
+
+
+def test_family_by_tag():
+    for fam in (C, S, SL, SS):
+        assert g.rootsys.family_by_tag(fam.tag) is fam
+    for bad in ("Q", "c", None, ["C"]):
+        with pytest.raises(ValueError, match="choose from C, S, SL, SS"):
+            g.rootsys.family_by_tag(bad)
 
 
 # ------------------------------------------------------------ orbits and signs

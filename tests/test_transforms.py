@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import g2fun as g
 from g2fun import C, S, SL, SS, CoefficientVector, SampledField, Weight
@@ -122,6 +124,62 @@ def test_excluded_weights_vanish_on_grid():
         assert np.allclose(f.values, 0.0, atol=1e-12)
 
 
+# ------------------------------------------------------------ torus FFT = dense basis
+
+
+def _dense_pair(fam, M, values, coeffs):
+    # The reference: explicit products with the sampled basis matrix.
+    B = g.basis_matrix(fam, M)
+    w = np.asarray(g.grid_points(M).weights, dtype=float)
+    return B @ (w * values) / g.norm_constants(fam, M), coeffs @ B
+
+
+def _assert_fft_matches_dense(fam, M, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(g.grid_size(M))
+    coeffs = rng.standard_normal(len(g.spectrum(fam, M)))
+    want_d, want_f = _dense_pair(fam, M, values, coeffs)
+    got_d = g.forward(fam, M, SampledField(M, values)).values
+    got_f = g.inverse(fam, M, CoefficientVector(fam, M, coeffs)).values
+    assert np.max(np.abs(got_d - want_d), initial=0.0) <= 1e-10
+    assert np.max(np.abs(got_f - want_f), initial=0.0) <= 1e-10
+
+
+@given(st.sampled_from(ALL_FAMILIES), st.integers(1, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_fft_transforms_equal_dense_products(fam, M, seed):
+    _assert_fft_matches_dense(fam, M, seed)
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=str)
+def test_fft_transforms_equal_dense_products_at_level_120(fam):
+    _assert_fft_matches_dense(fam, 120, 120)
+
+
+def _wall_rule_mask(fam, M):
+    # The antisymmetric walls of each family, written out by hand.
+    rules = {
+        "C": lambda kp: True,
+        "S": lambda kp: kp.s0 > 0 and kp.s1 > 0 and kp.s2 > 0,
+        "SL": lambda kp: kp.s0 > 0 and kp.s1 > 0,
+        "SS": lambda kp: kp.s2 > 0,
+    }
+    return np.array([rules[fam.tag](kp) for kp in g.grid_points(M).points])
+
+
+@pytest.mark.parametrize("M", range(1, 31))
+def test_support_mask_equals_wall_rules(M):
+    for fam in ALL_FAMILIES:
+        assert np.array_equal(g.support_mask(fam, M), _wall_rule_mask(fam, M))
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 6, 7, 12, 13])
+def test_grid_weights_are_torus_orbit_sizes(M):
+    images = g.transforms._torus_images(M)
+    sizes = [len(set(col)) for col in images.T]
+    assert sizes == list(g.grid_points(M).weights)
+
+
 # ------------------------------------------------------------ continuous pairing
 
 
@@ -218,3 +276,40 @@ def test_shape_validation():
     d = CoefficientVector(C, 6, np.zeros(len(g.spectrum(C, 6).entries)))
     with pytest.raises(ValueError):
         g.inverse(C, 7, d)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e309])
+def test_non_finite_values_are_rejected(bad):
+    values = np.zeros(g.grid_size(6))
+    values[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SampledField(6, values)
+    coeffs = np.zeros(len(g.spectrum(C, 6)))
+    coeffs[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        CoefficientVector(C, 6, coeffs)
+
+
+def test_unknown_family_tag_in_json_is_a_value_error():
+    n = g.grid_size(3)
+    with pytest.raises(ValueError, match="unknown family 'Q'"):
+        g.field_from_json('{"M": 3, "family": "Q", "values": [%s]}' % ",".join(["0"] * n))
+    with pytest.raises(ValueError, match="unknown family 'Q'"):
+        g.coefficients_from_json('{"M": 3, "family": "Q", "values": []}')
+
+
+def test_malformed_records_are_value_errors():
+    with pytest.raises(ValueError, match="values"):
+        g.field_from_json('{"M": 3}')
+    with pytest.raises(ValueError, match="family"):
+        g.coefficients_from_json('{"M": 3, "values": []}')
+    with pytest.raises(ValueError, match="integer"):
+        g.field_from_json('{"M": null, "values": []}')
+    with pytest.raises(ValueError, match="real numbers"):
+        g.coefficients_from_json('{"M": 1, "family": "C", "values": {"a": 1}}')
+    with pytest.raises(ValueError, match="real numbers"):
+        g.field_from_json('{"M": 1, "values": [1%s]}' % ("0" * 400))
+    with pytest.raises(ValueError, match="column"):
+        g.field_from_csv("s0,s1\n3,0\n", 3)
+    with pytest.raises(ValueError, match="too few cells"):
+        g.coefficients_from_csv("a,b,h,value\n1,0\n", C, 3)
