@@ -5,7 +5,13 @@ antisymmetric, and the two hybrid sign characters), their continuous
 and discrete orthogonality, Fourier-style transforms on fundamental
 domain grids, symbolic product decompositions, character expansions,
 and the arithmetic of conjugacy classes of elements of finite order.
+
+The transforms, and with them numpy, load on first use: ``g2fun.forward``,
+``from g2fun import transforms`` and ``from g2fun import *`` import them,
+plain ``import g2fun`` does not.
 """
+
+import importlib
 
 from .algebra import (
     OrbitSum,
@@ -74,27 +80,6 @@ from .rootsys import (
     signed_orbit,
     weyl_orbit,
 )
-from .transforms import (
-    CoefficientVector,
-    SampledField,
-    basis_matrix,
-    coefficients_from_csv,
-    coefficients_from_json,
-    coefficients_to_csv,
-    coefficients_to_json,
-    continuous_inner,
-    discrete_inner,
-    field_from_csv,
-    field_from_json,
-    field_to_csv,
-    field_to_json,
-    forward,
-    inverse,
-    norm_constants,
-    sample_on_grid,
-    support_mask,
-)
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -174,3 +159,15 @@ __all__ = [
     "target_family",
     "weyl_orbit",
 ]
+
+
+def __getattr__(name: str):
+    # Every exported name not bound above is served by .transforms.
+    if name == "transforms" or name in __all__:
+        transforms = importlib.import_module(".transforms", __name__)
+        return transforms if name == "transforms" else getattr(transforms, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

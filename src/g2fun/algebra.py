@@ -13,10 +13,9 @@ bag).
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
 
 from .orbitfn import CHARACTER_VARIANTS, evaluate
 from .rootsys import (
@@ -118,8 +117,9 @@ def _product_terms(
     fam_a: Family, lam_a: Weight, fam_b: Family, lam_b: Weight
 ) -> tuple[tuple[Weight, int], ...]:
     bag: dict[Weight, int] = {}
+    orbit_b = signed_orbit(fam_b, lam_b)
     for mu, s_mu in signed_orbit(fam_a, lam_a):
-        for nu, s_nu in signed_orbit(fam_b, lam_b):
+        for nu, s_nu in orbit_b:
             w = mu + nu
             bag[w] = bag.get(w, 0) + s_mu * s_nu
     target = target_family(fam_a, fam_b)
@@ -251,7 +251,7 @@ def recurrence(gen_family: Family, gen: Weight, family: Family, lam: Weight) -> 
 
 def random_interior_points(n: int, seed: int = 0) -> list[Point]:
     """Uniformly seeded points strictly inside the fundamental domain."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     pts = []
     for _ in range(n):
         u = rng.uniform(0.02, 0.98)

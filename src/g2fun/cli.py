@@ -10,6 +10,10 @@ efo        enumerate conjugacy classes of elements of a given finite order
 
 Exit codes: 0 success, 1 a requested numerical check failed,
 2 invalid arguments (including nondominant weights).
+
+numpy and the transforms are imported only by the commands that handle
+arrays (``eval --grid`` and ``transform``), so the exact commands start
+without them.
 """
 
 from __future__ import annotations
@@ -20,15 +24,16 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import transforms
 from .algebra import expand_char_in_C, expand_product, product_check, target_family
 from .arith import enumerate_efo, is_rational, rational_table
 from .lattice import grid_points, grid_to_json, spectrum
 from .orbitfn import evaluate
 from .rootsys import Family, Point, Weight, family_by_tag
+
+if TYPE_CHECKING:
+    from . import transforms
 
 _FORMATS = ("text", "json", "csv", "latex")
 
@@ -89,6 +94,8 @@ def _no_latex(cfg: Config, command: str) -> None:
 
 
 def _read_field(path: str, family: Family, M: int) -> transforms.SampledField:
+    from . import transforms
+
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
         field = transforms.field_from_json(text)
@@ -102,6 +109,8 @@ def _read_field(path: str, family: Family, M: int) -> transforms.SampledField:
 
 
 def _read_coefficients(path: str, family: Family, M: int) -> transforms.CoefficientVector:
+    from . import transforms
+
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
         vec = transforms.coefficients_from_json(text)
@@ -140,6 +149,8 @@ def _cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
     lam = _weight(args.a, args.b)
 
     if args.grid is not None:
+        from . import transforms
+
         field = transforms.sample_on_grid(family, lam, args.grid)
         if cfg.fmt == "json":
             _emit(transforms.field_to_json(field), args.out)
@@ -187,6 +198,10 @@ def _cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace, cfg: Config) -> int:
+    import numpy as np
+
+    from . import transforms
+
     _no_latex(cfg, "transform")
     family = _family(args.family)
     M = args.M

@@ -6,16 +6,17 @@ homomorphism of the family.  C and S values are real; SL and SS values
 are purely imaginary, and their real "renormalized" view divides out the
 factor i (a modulus-one factor, so all orthogonality constants survive
 unchanged).
+
+Only `sample_values` needs numpy, and it imports numpy when called.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .rootsys import (
     C,
@@ -23,12 +24,12 @@ from .rootsys import (
     SL,
     SS,
     Family,
-    Point,
     Weight,
-    is_admissible,
     signed_orbit,
-    weyl_orbit,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,12 +54,22 @@ def _signed_exponents(family: Family, lam: Weight) -> tuple[tuple[int, int, int]
     )
 
 
+def _mod1(x) -> float:
+    # n % d / d is float(x % 1) without building an intermediate Fraction.
+    if isinstance(x, (int, Fraction)):
+        return x.numerator % x.denominator / x.denominator
+    return float(x % 1)
+
+
 def evaluate(family: Family, lam: Weight, p) -> FunctionValue:
     """Orbit sum of `family` at weight lam and point p.
 
     Total on dominant weights: an inadmissible weight (on a wall the
     family alternates across) yields exactly zero, flagged through the
-    `admissible` field.
+    `admissible` field.  Integer co-weight translations are symmetries,
+    so each coordinate is reduced mod 1 before it becomes a float; for
+    int and Fraction input the reduction is exact, which keeps huge
+    coordinates finite and accurate.
     """
     lam = Weight(*lam)
     if not lam.is_dominant:
@@ -66,8 +77,8 @@ def evaluate(family: Family, lam: Weight, p) -> FunctionValue:
     terms = _signed_exponents(family, lam)
     if not terms:
         return FunctionValue(0j, 0.0, False)
-    x1 = float(p[0])
-    x2 = float(p[1])
+    x1 = _mod1(p[0])
+    x2 = _mod1(p[1])
     val = 0j
     for k1, k2, s in terms:
         val += s * cmath.exp(1j * TWO_PI * (k1 * x1 + k2 * x2))
@@ -82,6 +93,8 @@ def evaluate_real(family: Family, lam: Weight, p) -> float:
 
 def sample_values(family: Family, lam: Weight, x1, x2) -> np.ndarray:
     """Vectorized renormalized values over arrays of point coordinates."""
+    import numpy as np
+
     lam = Weight(*lam)
     if not lam.is_dominant:
         raise ValueError(f"{lam} is not dominant")
@@ -175,5 +188,4 @@ __all__ = [
     "evaluate",
     "evaluate_real",
     "sample_values",
-    "weyl_orbit",
 ]

@@ -11,11 +11,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import g2fun
 from g2fun import C, Family, Point, S, SL, SS, Weight
 
 # Euclidean realization: alpha1 long (|alpha1|^2 = 2), alpha2 short
@@ -188,3 +193,13 @@ def rng() -> np.random.Generator:
 
 
 ALL_FAMILIES = (C, S, SL, SS)
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on the g2fun source tree these tests import."""
+    env = dict(os.environ)
+    src = str(Path(g2fun.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env
+    )

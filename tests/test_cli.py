@@ -11,6 +11,8 @@ import g2fun as g
 from g2fun import C, SS, Weight
 from g2fun.cli import main
 
+from conftest import run_python
+
 
 def run(capsys, *argv):
     try:
@@ -47,6 +49,18 @@ def test_eval_inadmissible_reports_false(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["admissible"] is False and payload["renormalized"] == 0.0
+
+
+@pytest.mark.parametrize("point,reduced", [
+    (["1e400", "0.1"], (0, 0.1)),
+    (["0.1", "--", "-1e400"], (0.1, 0)),
+])
+def test_huge_coordinates_are_reduced_mod_one(point, reduced):
+    proc = run_python("-m", "g2fun", "eval", "--format", "json", "C", "1", "0", *point)
+    assert proc.returncode == 0, proc.stderr
+    value = json.loads(proc.stdout)["value"]
+    want = g.evaluate(C, Weight(1, 0), reduced).value
+    assert (value["re"], value["im"]) == (want.real, want.imag)
 
 
 def test_eval_on_grid_as_csv(capsys):
@@ -267,6 +281,66 @@ def test_efo_rational_only_filters(capsys):
 
 
 # ------------------------------------------------------------ process-level
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "C", "-1", "2", "0.1", "0.1"],
+    ["eval", "Q", "1", "0", "0.1", "0.1"],
+    ["eval", "C", "1", "0", "inf", "0.1"],
+    ["eval", "C", "1", "0", "0.1", "nan"],
+    ["eval", "C", "1", "0", "1/0", "0.1"],
+    ["eval", "C", "1", "0"],
+    ["eval", "C", "1", "0", "0.1", "0.1", "--format", "latex"],
+    ["tables"],
+    ["tables", "--char", "X", "1", "1"],
+], ids=["nondominant", "unknown-family", "inf", "nan", "1/0", "no-point",
+        "latex-eval", "tables-empty", "char-variant"])
+def test_bad_argv_exits_2_with_an_error_line(argv):
+    proc = run_python("-m", "g2fun", *argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error: " in proc.stderr.strip().splitlines()[-1]
+
+
+# Runs g2fun.cli.main on its argv in a fresh interpreter and reports the
+# exit code, the output and whether numpy was imported along the way.
+_PROBE = """
+import contextlib, io, json, sys
+from g2fun.cli import main
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    rc = main(sys.argv[1:])
+print(json.dumps({"rc": rc, "out": buf.getvalue(), "numpy": "numpy" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "C", "1", "0", "1/10", "1/12"],
+    ["decompose", "S", "1", "1", "S", "1", "1", "--check", "25"],
+    ["tables", "--rational"],
+    ["tables", "--char", "full", "3", "2"],
+    ["tables", "--grid", "6"],
+    ["tables", "--spectrum", "S", "6"],
+    ["efo", "12"],
+])
+def test_exact_commands_never_import_numpy(capsys, argv):
+    proc = run_python("-c", _PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["rc"] == 0 and not probe["numpy"]
+    assert probe["out"] == run(capsys, *argv)[1]
+
+
+def test_array_commands_import_numpy_on_demand(tmp_path, capsys):
+    path = tmp_path / "field.json"
+    path.write_text(g.field_to_json(g.sample_on_grid(C, Weight(1, 0), 6)))
+    for argv in (["eval", "C", "1", "0", "--grid", "6"],
+                 ["transform", "C", "6", "--forward", str(path), "--roundtrip"]):
+        proc = run_python("-c", _PROBE, *argv)
+        assert proc.returncode == 0, proc.stderr
+        probe = json.loads(proc.stdout)
+        assert probe["rc"] == 0 and probe["numpy"]
+        assert probe["out"] == run(capsys, *argv)[1]
 
 
 def test_module_entrypoint_runs_in_a_subprocess():

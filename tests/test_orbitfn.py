@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import g2fun as g
 from g2fun import C, S, SL, SS, Point, SingularPointError, Weight
@@ -81,6 +83,26 @@ def test_translation_periodicity(rng):
         for dx in [(1, 0), (0, 1), (3, -2)]:
             q = Point(p.x1 + dx[0], p.x2 + dx[1])
             assert abs(g.evaluate(fam, lam, q).value - base) < 1e-9
+
+
+_SHIFT = st.integers(-10**15, 10**15)
+
+
+@given(
+    st.sampled_from(ALL_FAMILIES),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.fractions(0, 1, max_denominator=1000),
+    st.fractions(0, 1, max_denominator=1000),
+    _SHIFT,
+    _SHIFT,
+)
+@settings(max_examples=150, deadline=None)
+def test_integer_shifts_of_exact_points_leave_the_value_unchanged(fam, a, b, x1, x2, m, n):
+    lam = Weight(a, b)
+    base = g.evaluate(fam, lam, Point(x1, x2)).value
+    shifted = g.evaluate(fam, lam, Point(x1 + m, x2 + n)).value
+    assert abs(shifted - base) <= 1e-12
 
 
 def test_realness_by_family(rng):

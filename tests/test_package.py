@@ -1,0 +1,34 @@
+"""Package surface: every export resolves, numpy loads only with the transforms."""
+
+import json
+
+import g2fun
+from g2fun import transforms
+
+from conftest import run_python
+
+
+def test_every_export_resolves():
+    for name in g2fun.__all__:
+        assert getattr(g2fun, name) is not None, name
+    assert set(transforms.__all__) <= set(g2fun.__all__)
+    assert g2fun.forward is transforms.forward
+    assert set(g2fun.__all__) <= set(dir(g2fun))
+
+
+def test_plain_import_leaves_numpy_unloaded():
+    code = (
+        "import json, sys, g2fun\n"
+        "before = 'numpy' in sys.modules\n"
+        "g2fun.SampledField\n"
+        "print(json.dumps([before, 'numpy' in sys.modules]))\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, True]
+
+
+def test_star_import_serves_the_transforms():
+    proc = run_python("-c", "from g2fun import *; print(forward.__module__)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "g2fun.transforms"
