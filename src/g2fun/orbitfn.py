@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -54,21 +53,14 @@ def _signed_exponents(family: Family, lam: Weight) -> tuple[tuple[int, int, int]
     )
 
 
-def _mod1(x) -> float:
-    # n % d / d is float(x % 1) without building an intermediate Fraction.
-    if isinstance(x, (int, Fraction)):
-        return x.numerator % x.denominator / x.denominator
-    return float(x % 1)
-
-
 def evaluate(family: Family, lam: Weight, p) -> FunctionValue:
     """Orbit sum of `family` at weight lam and point p.
 
     Total on dominant weights: an inadmissible weight (on a wall the
     family alternates across) yields exactly zero, flagged through the
     `admissible` field.  Integer co-weight translations are symmetries,
-    so each coordinate is reduced mod 1 before it becomes a float; for
-    int and Fraction input the reduction is exact, which keeps huge
+    so each coordinate is reduced mod 1 before it becomes a float; `%`
+    is exact on int, Fraction and float, which keeps huge exact
     coordinates finite and accurate.
     """
     lam = Weight(*lam)
@@ -77,8 +69,8 @@ def evaluate(family: Family, lam: Weight, p) -> FunctionValue:
     terms = _signed_exponents(family, lam)
     if not terms:
         return FunctionValue(0j, 0.0, False)
-    x1 = _mod1(p[0])
-    x2 = _mod1(p[1])
+    x1 = float(p[0] % 1)
+    x2 = float(p[1] % 1)
     val = 0j
     for k1, k2, s in terms:
         val += s * cmath.exp(1j * TWO_PI * (k1 * x1 + k2 * x2))

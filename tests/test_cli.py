@@ -55,10 +55,10 @@ def test_eval_inadmissible_reports_false(capsys):
     (["1e400", "0.1"], (0, 0.1)),
     (["0.1", "--", "-1e400"], (0.1, 0)),
 ])
-def test_huge_coordinates_are_reduced_mod_one(point, reduced):
-    proc = run_python("-m", "g2fun", "eval", "--format", "json", "C", "1", "0", *point)
-    assert proc.returncode == 0, proc.stderr
-    value = json.loads(proc.stdout)["value"]
+def test_huge_coordinates_are_reduced_mod_one(capsys, point, reduced):
+    code, out, err = run(capsys, "eval", "--format", "json", "C", "1", "0", *point)
+    assert code == 0, err
+    value = json.loads(out)["value"]
     want = g.evaluate(C, Weight(1, 0), reduced).value
     assert (value["re"], value["im"]) == (want.real, want.imag)
 
@@ -280,26 +280,20 @@ def test_efo_rational_only_filters(capsys):
     assert json.loads(out) == []
 
 
-# ------------------------------------------------------------ process-level
-
-
 @pytest.mark.parametrize("argv", [
-    ["eval", "C", "-1", "2", "0.1", "0.1"],
-    ["eval", "Q", "1", "0", "0.1", "0.1"],
     ["eval", "C", "1", "0", "inf", "0.1"],
     ["eval", "C", "1", "0", "0.1", "nan"],
     ["eval", "C", "1", "0", "1/0", "0.1"],
-    ["eval", "C", "1", "0"],
-    ["eval", "C", "1", "0", "0.1", "0.1", "--format", "latex"],
-    ["tables"],
     ["tables", "--char", "X", "1", "1"],
-], ids=["nondominant", "unknown-family", "inf", "nan", "1/0", "no-point",
-        "latex-eval", "tables-empty", "char-variant"])
-def test_bad_argv_exits_2_with_an_error_line(argv):
-    proc = run_python("-m", "g2fun", *argv)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "error: " in proc.stderr.strip().splitlines()[-1]
+], ids=["inf", "nan", "1/0", "char-variant"])
+def test_bad_argv_exits_2_with_an_error_line(capsys, argv):
+    # An uncaught exception would escape main() and fail the test outright.
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.strip().splitlines()[-1].startswith("error: ")
+
+
+# ------------------------------------------------------------ process-level
 
 
 # Runs g2fun.cli.main on its argv in a fresh interpreter and reports the
