@@ -261,6 +261,8 @@ def _cmd_decompose(args: argparse.Namespace, cfg: Config) -> int:
     fam_b = _family(args.family_b)
     lam_b = _weight(args.a_b, args.b_b)
 
+    if args.check is not None and args.check < 1:
+        raise UsageError(f"--check needs a positive number of points, got {args.check}")
     osum = expand_product(fam_a, lam_a, fam_b, lam_b)
     lhs = (
         f"{fam_a.tag}_({lam_a.a},{lam_a.b}) * {fam_b.tag}_({lam_b.a},{lam_b.b})"

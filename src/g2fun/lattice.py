@@ -6,6 +6,9 @@ with s0 + 2*s1 + 3*s2 = M.  Each point carries an integer weight c_s
 (the size of its orbit in the periodic torus); each family gets a
 spectrum of weights with rational normalization constants h so that
 discrete inner products come out as 12 * M^2 * h on the diagonal.
+Both follow from `rootsys.stabilizer`: a weight with 3a + 2b <= M
+belongs to a family's spectrum unless an element fixing it modulo M has
+sign -1 in the family, and h = |Stab_M| / |Stab|^2.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .rootsys import C, S, SL, SS, Family, KacPoint, Weight
+from .rootsys import Family, KacPoint, Weight, stabilizer
 
 
 def c_weight(kp: KacPoint) -> int:
@@ -81,50 +84,30 @@ class Spectrum:
         return tuple(w for w, _ in self.entries)
 
 
+_ONE = Fraction(1)
+
+
 @lru_cache(maxsize=None)
 def spectrum(family: Family, M: int) -> Spectrum:
     """Weights labeling the family's orthogonal basis on the level-M grid.
 
     Each entry carries the normalization h with squared discrete norm
-    12 * M^2 * h.  Weights whose orbit sums vanish identically on the
-    grid (wall weights at the extreme level) are excluded.
+    12 * M^2 * h.  Off the three walls (a, b > 0, 3a + 2b < M) both
+    stabilizers are trivial, so the weight is kept with h = 1.
     """
     if M < 1:
         raise ValueError(f"level must be a positive integer, got {M}")
     entries: list[SpectrumEntry] = []
-    if family == C:
-        for a in range(M // 3 + 1):
-            for b in range((M - 3 * a) // 2 + 1):
-                if a == 0 and b == 0:
-                    h = Fraction(1, 12)
-                elif b == 0:
-                    h = Fraction(3, 2) if 3 * a == M else Fraction(1, 2)
-                elif a == 0:
-                    h = Fraction(1) if 2 * b == M else Fraction(1, 2)
-                else:
-                    h = Fraction(2) if 3 * a + 2 * b == M else Fraction(1)
-                entries.append(SpectrumEntry(Weight(a, b), h))
-    elif family == S:
-        for a in range(1, M // 3 + 1):
-            for b in range(1, (M - 1 - 3 * a) // 2 + 1):
-                entries.append(SpectrumEntry(Weight(a, b), Fraction(1)))
-    elif family == SL:
-        for a in range(1, M // 3 + 1):
-            for b in range((M - 3 * a) // 2 + 1):
-                if b == 0:
-                    h = Fraction(3, 2) if 3 * a == M else Fraction(1, 2)
-                else:
-                    h = Fraction(2) if 3 * a + 2 * b == M else Fraction(1)
-                entries.append(SpectrumEntry(Weight(a, b), h))
-    elif family == SS:
-        for b in range(1, (M - 1) // 2 + 1):
-            entries.append(SpectrumEntry(Weight(0, b), Fraction(1, 2)))
-        for a in range(1, M // 3 + 1):
-            for b in range(1, (M - 1 - 3 * a) // 2 + 1):
-                entries.append(SpectrumEntry(Weight(a, b), Fraction(1)))
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    entries.sort(key=lambda e: e.weight)
+    for a in range(M // 3 + 1):
+        for b in range((M - 3 * a) // 2 + 1):
+            lam = Weight(a, b)
+            if a and b and 3 * a + 2 * b < M:
+                entries.append(SpectrumEntry(lam, _ONE))
+                continue
+            fixing = stabilizer(lam, M)
+            if all(g.sign(family) > 0 for g in fixing):
+                h = Fraction(len(fixing), len(stabilizer(lam)) ** 2)
+                entries.append(SpectrumEntry(lam, h))
     return Spectrum(family, M, tuple(entries))
 
 

@@ -61,16 +61,19 @@ def evaluate(family: Family, lam: Weight, p) -> FunctionValue:
     `admissible` field.  Integer co-weight translations are symmetries,
     so each coordinate is reduced mod 1 before it becomes a float; `%`
     is exact on int, Fraction and float, which keeps huge exact
-    coordinates finite and accurate.
+    coordinates finite and accurate.  A non-finite coordinate raises
+    ValueError.
     """
     lam = Weight(*lam)
     if not lam.is_dominant:
         raise ValueError(f"{lam} is not dominant")
+    x1 = float(p[0] % 1)
+    x2 = float(p[1] % 1)
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise ValueError(f"point coordinates must be finite, got ({p[0]}, {p[1]})")
     terms = _signed_exponents(family, lam)
     if not terms:
         return FunctionValue(0j, 0.0, False)
-    x1 = float(p[0] % 1)
-    x2 = float(p[1] % 1)
     val = 0j
     for k1, k2, s in terms:
         val += s * cmath.exp(1j * TWO_PI * (k1 * x1 + k2 * x2))

@@ -6,6 +6,13 @@ co-weights.  The two bases pair integrally, so every group-theoretic
 operation here (reflections, orbits, folding into the fundamental
 domain) stays in exact integer or rational arithmetic.
 
+The four families are the four sign characters of the 12-element Weyl
+group `WEYL_GROUP`.  Every family-specific rule is one stabilizer rule:
+a family's orbit sum of lam vanishes identically when an element of
+`stabilizer(lam)` has sign -1, and on the level-M grid when an element
+of `stabilizer(lam, M)` does; the grid normalization is
+h = |Stab_M| / |Stab|^2 (`lattice.spectrum`).
+
 Conventions: the long simple root has squared length 2, the short one
 2/3, and their inner product is -1.  Both the weight and the co-weight
 lattice coincide with the corresponding root lattices, which is why
@@ -18,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Union
 
 Coord = Union[int, Fraction, float]
@@ -179,15 +187,6 @@ def pairing(w: Weight, p: Point) -> Coord:
     return k1 * p.x1 + k2 * p.x2
 
 
-def reflect_weight(k: int, w: Weight) -> Weight:
-    """Simple reflection r_k acting on a weight."""
-    if k == 1:
-        return Weight(-w.a, 3 * w.a + w.b)
-    if k == 2:
-        return Weight(w.a + w.b, -w.b)
-    raise ValueError(f"generator index must be 1 or 2, got {k}")
-
-
 def reflect_point(k: int, p: Point) -> Point:
     """Simple reflection r_k acting on a point."""
     if k == 1:
@@ -245,69 +244,79 @@ def _close_weyl_group() -> tuple[WeylElement, ...]:
 WEYL_GROUP = _close_weyl_group()
 
 
+def _on_weights(g: WeylElement) -> tuple[int, int, int, int]:
+    # Row-major integer matrix of g on fundamental-weight coordinates:
+    # the transpose of g's point matrix acts on simple-root coordinates
+    # (as g^-1, which has the same sign in every family).
+    (p, q), (r, s) = g.matrix
+    (a1, b1), (a2, b2) = (
+        alpha_to_omega(p * k1 + r * k2, q * k1 + s * k2)
+        for k1, k2 in (omega_to_alpha(Weight(1, 0)), omega_to_alpha(Weight(0, 1)))
+    )
+    return a1, a2, b1, b2
+
+
+#: WEYL_GROUP paired with each element's action on weight coordinates.
+_WEIGHT_ACTION = tuple((g, _on_weights(g)) for g in WEYL_GROUP)
+
+
+@lru_cache(maxsize=None)
+def stabilizer(lam: Weight, M: int = 0) -> tuple[WeylElement, ...]:
+    """The Weyl elements that fix lam: exactly when M == 0, else modulo M."""
+    # Cached because the four spectra of one level share their wall
+    # weights, and the product kernel asks again for the same weights.
+    a, b = lam
+    if M == 0:
+        return tuple(
+            g for g, (m11, m12, m21, m22) in _WEIGHT_ACTION
+            if m11 * a + m12 * b == a and m21 * a + m22 * b == b
+        )
+    return tuple(
+        g for g, (m11, m12, m21, m22) in _WEIGHT_ACTION
+        if (m11 * a + m12 * b - a) % M == 0 and (m21 * a + m22 * b - b) % M == 0
+    )
+
+
 def is_admissible(family: Family, lam: Weight) -> bool:
     """True when the family's orbit sum for dominant lam is not identically zero.
 
-    A dominant weight on a reflection wall is inadmissible for families
-    that alternate under that reflection: the stabilizer forces pairwise
-    cancellation of the whole sum.
+    It vanishes exactly when an element fixing lam has sign -1 in the
+    family: the stabilizer then pairs off orbit terms of opposite sign.
     """
-    if not lam.is_dominant:
-        return False
-    if lam.a == 0 and family.sigma_r1 < 0:
-        return False
-    if lam.b == 0 and family.sigma_r2 < 0:
-        return False
-    return True
+    return lam.is_dominant and all(g.sign(family) > 0 for g in stabilizer(lam))
 
 
 def dominantize(family: Family, w: Weight) -> SignedWeight:
-    """Fold a weight into the dominant chamber, accumulating the family sign.
+    """The dominant member of w's orbit, with the family sign of w in its orbit sum.
 
-    Applies r1 whenever the first coordinate is negative, else r2, until
-    dominant; each step strictly increases the height, so the loop
-    terminates.  If the dominant representative lies on a wall whose
-    reflection the family counts with sign -1, the sign collapses to 0.
+    The sign is that of any element mapping w to the dominant member; it
+    is 0 when the dominant member is inadmissible for the family.
     """
     a, b = w
-    sign = 1
-    while a < 0 or b < 0:
-        if a < 0:
-            a, b = -a, 3 * a + b
-            sign *= family.sigma_r1
-        else:
-            a, b = a + b, -b
-            sign *= family.sigma_r2
-    if (a == 0 and family.sigma_r1 < 0) or (b == 0 and family.sigma_r2 < 0):
-        sign = 0
-    return SignedWeight(Weight(a, b), sign)
+    for g, (m11, m12, m21, m22) in _WEIGHT_ACTION:
+        lam = Weight(m11 * a + m12 * b, m21 * a + m22 * b)
+        if lam.is_dominant:
+            return SignedWeight(lam, g.sign(family) if is_admissible(family, lam) else 0)
+    raise RuntimeError(f"no Weyl image of {w} is dominant")
 
 
 def signed_orbit(family: Family, lam: Weight) -> tuple[SignedWeight, ...]:
     """Weyl orbit of a dominant weight with the family's sign on each member.
 
     Returns the empty tuple for inadmissible weights (the orbit sum is
-    identically zero there).  Ordered by decreasing height, dominant
-    member first, so callers get a deterministic term order.
+    identically zero there: some member is reached with both signs).
+    Ordered by decreasing height, dominant member first, so callers get
+    a deterministic term order.
     """
     if not lam.is_dominant:
         raise ValueError(f"{lam} is not dominant")
-    if not is_admissible(family, lam):
-        return ()
-    signs = {lam: 1}
-    stack = [lam]
-    while stack:
-        w = stack.pop()
-        s = signs[w]
-        for k in (1, 2):
-            r = reflect_weight(k, w)
-            rs = s * family.sigma(k)
-            if r in signs:
-                if signs[r] != rs:
-                    raise AssertionError(f"sign conflict on admissible orbit of {lam}")
-            else:
-                signs[r] = rs
-                stack.append(r)
+    a, b = lam
+    signs: dict[Weight, int] = {}
+    for g, (m11, m12, m21, m22) in _WEIGHT_ACTION:
+        mu = Weight(m11 * a + m12 * b, m21 * a + m22 * b)
+        s = g.sign(family)
+        if signs.setdefault(mu, s) != s:
+            return ()
     members = sorted(signs, key=lambda w: (-height(w), w))
     return tuple(SignedWeight(w, signs[w]) for w in members)
 
@@ -325,29 +334,24 @@ def orbit_sign(family: Family, lam: Weight, mu: Weight) -> int:
     return folded.sign
 
 
-_FOLD_LIMIT = 100_000
-
-
 def fold_to_F(p: Point) -> Point:
     """Map any point to its affine-Weyl representative in the fundamental domain.
 
-    Coordinates are reduced mod 1 first (integer co-weight translations
-    are lattice translations here), then reflected through whichever of
-    the three bounding walls is violated until none is.  Arithmetic is
-    exact rational, so termination is the usual strictly-decreasing
-    gallery distance argument, not a numeric accident.
+    Integer co-weight translations are lattice translations here, so the
+    affine Weyl orbit of p is its Weyl orbit mod 1.  Over a common
+    denominator D the point is an integer point of (Z/D)^2, and the one
+    image (y1, y2) mod D with 2*y1 + 3*y2 <= D is the representative.
+    Arithmetic is exact for int, Fraction and float coordinates.
     """
     x1 = Fraction(p.x1)
     x2 = Fraction(p.x2)
-    x1 -= math.floor(x1)
-    x2 -= math.floor(x2)
-    for _ in range(_FOLD_LIMIT):
-        if x1 < 0:
-            x1, x2 = -x1, x1 + x2
-        elif x2 < 0:
-            x1, x2 = x1 + 3 * x2, -x2
-        elif 2 * x1 + 3 * x2 > 1:
-            x1, x2 = 1 - x1 - 3 * x2, x2
-        else:
-            return Point(x1, x2)
-    raise RuntimeError(f"folding failed to terminate for {p}")
+    D = math.lcm(x1.denominator, x2.denominator)
+    n1 = x1.numerator * (D // x1.denominator)
+    n2 = x2.numerator * (D // x2.denominator)
+    for g in WEYL_GROUP:
+        (m11, m12), (m21, m22) = g.matrix
+        y1 = (m11 * n1 + m12 * n2) % D
+        y2 = (m21 * n1 + m22 * n2) % D
+        if 2 * y1 + 3 * y2 <= D:
+            return Point(Fraction(y1, D), Fraction(y2, D))
+    raise RuntimeError(f"no Weyl image of {p} mod 1 lies in the fundamental domain")

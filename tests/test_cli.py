@@ -225,6 +225,13 @@ def test_decompose_check_passes(capsys):
     assert "check" in out
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_decompose_check_needs_a_positive_count(capsys, n):
+    code, out, err = run(capsys, "decompose", "C", "1", "0", "C", "1", "0", "--check", n)
+    assert code == 2 and out == ""
+    assert err.strip().splitlines() == [f"error: --check needs a positive number of points, got {n}"]
+
+
 def test_latex_rejected_outside_symbolic_output(capsys):
     code, _, err = run(capsys, "eval", "C", "1", "0", "0.1", "0.1",
                        "--format", "latex")

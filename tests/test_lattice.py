@@ -110,6 +110,50 @@ def test_hybrid_spectra_at_level_six():
     assert ss == {(0, 1): Fraction(1, 2), (0, 2): Fraction(1, 2), (1, 1): Fraction(1)}
 
 
+def _wall_rule_spectrum(fam, M):
+    # Each family's weights and normalizations, written out by hand.
+    entries = []
+    if fam == C:
+        for a in range(M // 3 + 1):
+            for b in range((M - 3 * a) // 2 + 1):
+                if a == 0 and b == 0:
+                    h = Fraction(1, 12)
+                elif b == 0:
+                    h = Fraction(3, 2) if 3 * a == M else Fraction(1, 2)
+                elif a == 0:
+                    h = Fraction(1) if 2 * b == M else Fraction(1, 2)
+                else:
+                    h = Fraction(2) if 3 * a + 2 * b == M else Fraction(1)
+                entries.append((Weight(a, b), h))
+    elif fam == S:
+        for a in range(1, M // 3 + 1):
+            for b in range(1, (M - 1 - 3 * a) // 2 + 1):
+                entries.append((Weight(a, b), Fraction(1)))
+    elif fam == SL:
+        for a in range(1, M // 3 + 1):
+            for b in range((M - 3 * a) // 2 + 1):
+                if b == 0:
+                    h = Fraction(3, 2) if 3 * a == M else Fraction(1, 2)
+                else:
+                    h = Fraction(2) if 3 * a + 2 * b == M else Fraction(1)
+                entries.append((Weight(a, b), h))
+    elif fam == SS:
+        for b in range(1, (M - 1) // 2 + 1):
+            entries.append((Weight(0, b), Fraction(1, 2)))
+        for a in range(1, M // 3 + 1):
+            for b in range(1, (M - 1 - 3 * a) // 2 + 1):
+                entries.append((Weight(a, b), Fraction(1)))
+    return sorted(entries)
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.tag)
+def test_spectrum_equals_wall_rules(fam):
+    for M in range(1, 61):
+        got = [(e.weight, e.h) for e in g.spectrum(fam, M).entries]
+        assert got == _wall_rule_spectrum(fam, M), M
+        assert all(type(h) is Fraction for _, h in got)
+
+
 @given(st.integers(1, 60))
 @settings(max_examples=40, deadline=None)
 def test_spectrum_sizes_match_transform_shapes(M):

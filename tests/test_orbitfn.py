@@ -105,6 +105,14 @@ def test_integer_shifts_of_exact_points_leave_the_value_unchanged(fam, a, b, x1,
     assert abs(shifted - base) <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("fam", [C, S], ids=["C", "S-inadmissible"])
+def test_non_finite_coordinates_are_rejected(fam, bad):
+    for p in [(bad, 0.1), (0.1, bad)]:
+        with pytest.raises(ValueError, match="finite"):
+            g.evaluate(fam, Weight(1, 0), p)
+
+
 def test_realness_by_family(rng):
     pts = random_interior_points(rng, 10)
     for fam, lam in [(C, Weight(2, 1)), (S, Weight(1, 1))]:

@@ -1,6 +1,8 @@
 """Package surface: every export resolves, numpy loads only with the transforms."""
 
+import ast
 import json
+from pathlib import Path
 
 import g2fun
 from g2fun import transforms
@@ -32,3 +34,13 @@ def test_star_import_serves_the_transforms():
     proc = run_python("-c", "from g2fun import *; print(forward.__module__)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "g2fun.transforms"
+
+
+def test_no_assert_statements_in_src():
+    # `python -O` strips assert statements, so invariants must be explicit raises.
+    found = []
+    for path in sorted(Path(g2fun.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -59,14 +59,6 @@ def test_alpha_coordinates_roundtrip(a, b):
     assert g.height(w) == k1 + k2
 
 
-@given(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 2))
-def test_reflect_weight_matches_euclid(a, b, k):
-    w = Weight(a, b)
-    r = g.rootsys.reflect_weight(k, w)
-    mat = R1_EUCLID if k == 1 else R2_EUCLID
-    assert np.allclose(weight_vec(r), mat @ weight_vec(w), atol=1e-9)
-
-
 @given(
     st.fractions(min_value=-3, max_value=3, max_denominator=40),
     st.fractions(min_value=-3, max_value=3, max_denominator=40),
@@ -213,15 +205,43 @@ def test_admissibility():
     assert g.signed_orbit(S, Weight(2, 0)) == ()
 
 
+def _reflection_loop_dominantize(fam, w):
+    # Simple reflections until dominant, r1 first, accumulating the sign;
+    # a dominant weight on a wall the family alternates across gets 0.
+    a, b = w
+    sign = 1
+    while a < 0 or b < 0:
+        if a < 0:
+            a, b = -a, 3 * a + b
+            sign *= fam.sigma_r1
+        else:
+            a, b = a + b, -b
+            sign *= fam.sigma_r2
+    if (a == 0 and fam.sigma_r1 < 0) or (b == 0 and fam.sigma_r2 < 0):
+        sign = 0
+    return Weight(a, b), sign
+
+
 @given(st.integers(-12, 12), st.integers(-12, 12))
 def test_dominantize_lands_in_orbit(a, b):
     w = Weight(a, b)
     for fam in (C, S, SL, SS):
         folded = g.dominantize(fam, w)
+        assert tuple(folded) == _reflection_loop_dominantize(fam, w)
         assert folded.weight.is_dominant
         assert tuple(w) in set(map(tuple, g.weyl_orbit(folded.weight)))
         if folded.sign != 0:
             assert g.orbit_sign(fam, folded.weight, w) == folded.sign
+
+
+@given(st.integers(0, 30), st.integers(0, 30))
+def test_stabilizer_times_orbit_is_the_group_order(a, b):
+    lam = Weight(a, b)
+    assert len(g.rootsys.stabilizer(lam)) * len(g.weyl_orbit(lam)) == 12
+    for fam in (C, S, SL, SS):
+        assert g.is_admissible(fam, lam) == (
+            (a > 0 or fam.sigma_r1 > 0) and (b > 0 or fam.sigma_r2 > 0)
+        )
 
 
 def test_orbit_sign_rejects_foreign_weight():
@@ -235,6 +255,41 @@ def test_signed_orbit_requires_dominant():
 
 
 # ------------------------------------------------------------ folding
+
+
+def _reflection_loop_fold(p):
+    # Reduce mod 1, then reflect through whichever bounding wall of F is
+    # violated until none is.
+    x1 = Fraction(p.x1) % 1
+    x2 = Fraction(p.x2) % 1
+    while True:
+        if x1 < 0:
+            x1, x2 = -x1, x1 + x2
+        elif x2 < 0:
+            x1, x2 = x1 + 3 * x2, -x2
+        elif 2 * x1 + 3 * x2 > 1:
+            x1, x2 = 1 - x1 - 3 * x2, x2
+        else:
+            return Point(x1, x2)
+
+
+_COORDS = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=120),
+    st.floats(min_value=-4, max_value=4),
+)
+
+
+@given(_COORDS, _COORDS, st.integers(-5, 5), st.integers(-5, 5))
+@settings(max_examples=150, deadline=None)
+def test_fold_is_affine_weyl_invariant_and_equals_reflection_loop(x1, x2, v1, v2):
+    p = Point(x1, x2)
+    q = g.fold_to_F(p)
+    assert q == _reflection_loop_fold(p)
+    x1, x2 = Fraction(x1), Fraction(x2)
+    for w in g.rootsys.WEYL_GROUP:
+        (m11, m12), (m21, m22) = w.matrix
+        moved = Point(m11 * x1 + m12 * x2 + v1, m21 * x1 + m22 * x2 + v2)
+        assert g.fold_to_F(moved) == q
 
 
 def test_fold_regression_case_that_cycles_under_naive_mod():
