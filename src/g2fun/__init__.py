@@ -15,14 +15,12 @@ import importlib
 
 from .algebra import (
     OrbitSum,
-    Recurrence,
     char_expansion_matrix,
     evaluate_sum,
     expand_char_in_C,
     expand_product,
     invert_char_matrix,
     product_check,
-    recurrence,
     target_family,
 )
 from .arith import (
@@ -40,7 +38,6 @@ from .lattice import (
     Spectrum,
     SpectrumEntry,
     c_weight,
-    grid_from_json,
     grid_points,
     grid_size,
     grid_to_json,
@@ -74,9 +71,6 @@ from .rootsys import (
     height,
     is_admissible,
     kac_point,
-    orbit_sign,
-    pairing,
-    point_to_kac,
     signed_orbit,
     weyl_orbit,
 )
@@ -94,11 +88,9 @@ __all__ = [
     "Grid",
     "KacPoint",
     "kac_point",
-    "point_to_kac",
     "OrbitSum",
     "Point",
     "RationalTable",
-    "Recurrence",
     "S",
     "SL",
     "SS",
@@ -133,7 +125,6 @@ __all__ = [
     "fold_to_F",
     "forward",
     "c_weight",
-    "grid_from_json",
     "grid_points",
     "grid_size",
     "grid_to_json",
@@ -143,13 +134,10 @@ __all__ = [
     "is_admissible",
     "is_rational",
     "norm_constants",
-    "orbit_sign",
-    "pairing",
     "power_class",
     "product_check",
     "rational_classes",
     "rational_table",
-    "recurrence",
     "sample_on_grid",
     "sample_values",
     "search_integer_points",

@@ -226,29 +226,6 @@ def invert_char_matrix(weights) -> dict[Weight, dict[Weight, int]]:
     return c_in_chi
 
 
-@dataclass
-class Recurrence:
-    """A rewrite of generator * function as a short orbit sum."""
-
-    gen_family: Family
-    gen: Weight
-    family: Family
-    lam: Weight
-    expansion: OrbitSum
-
-    def pretty(self, latex: bool = False) -> str:
-        lhs_a = OrbitSum(self.gen_family, {self.gen: 1}).pretty(latex)
-        lhs_b = OrbitSum(self.family, {self.lam: 1}).pretty(latex)
-        eq = r" \cdot " if latex else "*"
-        return f"{lhs_a}{eq}{lhs_b} = {self.expansion.pretty(latex)}"
-
-
-def recurrence(gen_family: Family, gen: Weight, family: Family, lam: Weight) -> Recurrence:
-    """Product of a low generator with a general function, as a rewrite rule."""
-    gen, lam = Weight(*gen), Weight(*lam)
-    return Recurrence(gen_family, gen, family, lam, expand_product(gen_family, gen, family, lam))
-
-
 def random_interior_points(n: int, seed: int = 0) -> list[Point]:
     """Uniformly seeded points strictly inside the fundamental domain."""
     rng = random.Random(seed)
@@ -271,7 +248,9 @@ def product_check(
     n: int = 10,
     seed: int = 0,
 ) -> float:
-    """Max relative error of the decomposition against direct evaluation."""
+    """Max relative error of the decomposition against direct evaluation at n points."""
+    if n < 1:
+        raise ValueError(f"product check needs a positive number of points, got {n}")
     worst = 0.0
     for p in random_interior_points(n, seed):
         lhs = evaluate(fam_a, lam_a, p).value * evaluate(fam_b, lam_b, p).value
@@ -283,7 +262,6 @@ def product_check(
 
 __all__ = [
     "OrbitSum",
-    "Recurrence",
     "char_expansion_matrix",
     "evaluate_sum",
     "expand_char_in_C",
@@ -291,6 +269,5 @@ __all__ = [
     "invert_char_matrix",
     "product_check",
     "random_interior_points",
-    "recurrence",
     "target_family",
 ]

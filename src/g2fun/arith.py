@@ -106,7 +106,7 @@ _INT_TOL = 1e-8
 def _rounded(v: float) -> int:
     r = round(v)
     if abs(v - r) > _INT_TOL:
-        raise AssertionError(f"expected an integer value, got {v}")
+        raise RuntimeError(f"expected an integer value, got {v}")
     return int(r)
 
 

@@ -21,12 +21,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable
 
-from .algebra import expand_char_in_C, expand_product, product_check, target_family
+from .algebra import expand_char_in_C, expand_product, product_check
 from .arith import enumerate_efo, is_rational, rational_table
 from .lattice import grid_points, grid_to_json, spectrum
 from .orbitfn import evaluate
@@ -34,25 +33,12 @@ from .rootsys import Family, Point, Weight, family_by_tag
 
 if TYPE_CHECKING:
     from . import transforms
+    from .algebra import OrbitSum
 
 _FORMATS = ("text", "json", "csv", "latex")
 
-
-@dataclass(frozen=True)
-class Config:
-    """Options shared by every subcommand."""
-
-    fmt: str = "text"
-    tol: float = 1e-9
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.fmt not in _FORMATS:
-            raise ValueError(f"format must be one of {_FORMATS}, got {self.fmt!r}")
-        if self.tol <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+#: Format name -> zero-argument builder of the payload in that format.
+_Views = dict[str, Callable[[], str]]
 
 
 class UsageError(Exception):
@@ -80,182 +66,176 @@ def _coord(text: str) -> Fraction:
         raise UsageError(f"bad coordinate {text!r}: {exc}") from None
 
 
-def _emit(payload: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(payload)
+def _render(args: argparse.Namespace, command: str, views: _Views) -> None:
+    """Write the view in args.fmt to args.out, or to stdout with a final newline."""
+    if args.fmt not in views:
+        raise UsageError(f"format '{args.fmt}' is not supported by '{command}'")
+    payload = views[args.fmt]()
+    if args.out:
+        Path(args.out).write_text(payload)
     else:
-        end = "" if payload.endswith("\n") else "\n"
-        sys.stdout.write(payload + end)
+        sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
 
 
-def _no_latex(cfg: Config, command: str) -> None:
-    if cfg.fmt == "latex":
-        raise UsageError(f"format 'latex' is not supported by '{command}'")
+def _table(title: str | None, head: str | None, row: str | None,
+           csv_head: str | None, rows: Iterable[tuple]) -> _Views:
+    """Text and CSV views of a table; a None header leaves that view out.
 
-
-def _read_field(path: str, family: Family, M: int) -> transforms.SampledField:
-    from . import transforms
-
-    text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        field = transforms.field_from_json(text)
-        if field.M != M or field.family not in (None, family):
-            raise UsageError(
-                f"field in {path} is for {field.family}/M={field.M}, "
-                f"expected {family}/M={M}"
-            )
-        return transforms.SampledField(M, field.values, family)
-    return transforms.field_from_csv(text, M, family)
-
-
-def _read_coefficients(path: str, family: Family, M: int) -> transforms.CoefficientVector:
-    from . import transforms
-
-    text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        vec = transforms.coefficients_from_json(text)
-        if vec.M != M or vec.family != family:
-            raise UsageError(
-                f"coefficients in {path} are for {vec.family}/M={vec.M}, "
-                f"expected {family}/M={M}"
-            )
-        return vec
-    return transforms.coefficients_from_csv(text, family, M)
-
-
-def _field_text(field: transforms.SampledField) -> str:
-    lines = ["s0 s1 s2      x1        x2        value"]
-    for kp, v in zip(grid_points(field.M).points, field.values):
-        lines.append(
-            f"{kp.s0:2d} {kp.s1:2d} {kp.s2:2d}  {float(kp.point().x1):9.6f} "
-            f"{float(kp.point().x2):9.6f}  {v:.12g}"
+    The text view is the title line (if any), the header and each row
+    through the `row` format string.  The CSV view writes the leading
+    fields of each row that `csv_head` names, so the text format may
+    also use trailing fields.  `rows` is consumed by one view only.
+    """
+    views: _Views = {}
+    if head is not None:
+        views["text"] = lambda: "\n".join(
+            [*filter(None, [title]), head, *(row.format(*r) for r in rows)]
         )
-    return "\n".join(lines)
+    if csv_head is not None:
+        n = csv_head.count(",") + 1
+        views["csv"] = lambda: "".join(
+            f"{line}\n" for line in [csv_head, *(",".join(map(str, r[:n])) for r in rows)]
+        )
+    return views
 
 
-def _coeff_text(vec: transforms.CoefficientVector) -> str:
-    lines = [" a  b      value"]
-    for entry, v in zip(spectrum(vec.family, vec.M).entries, vec.values):
-        lines.append(f"{entry.weight.a:2d} {entry.weight.b:2d}  {v:.12g}")
-    return "\n".join(lines)
+def _read(
+    path: str, family: Family, M: int, kind: str
+) -> transforms.SampledField | transforms.CoefficientVector:
+    """The field or coefficients (`kind`) in a JSON, CSV or text-table file."""
+    from . import transforms
+
+    field = kind == "field"
+    text = Path(path).read_text()
+    if not text.lstrip().startswith("{"):
+        if field:
+            return transforms.field_from_csv(text, M, family)
+        return transforms.coefficients_from_csv(text, family, M)
+    data = (transforms.field_from_json if field else transforms.coefficients_from_json)(text)
+    if data.M != M or data.family not in (None, family):
+        raise UsageError(
+            f"{kind} in {path} {'is' if field else 'are'} for {data.family}/M={data.M}, "
+            f"expected {family}/M={M}"
+        )
+    return data
+
+
+def _field_views(field: transforms.SampledField) -> _Views:
+    from . import transforms
+
+    M = field.M
+    rows = (
+        (kp.s0, kp.s1, kp.s2, kp.s1 / M, kp.s2 / M, v)
+        for kp, v in zip(grid_points(M).points, field.values)
+    )
+    return {
+        **_table(None, "s0 s1 s2      x1        x2        value",
+                 "{0:2d} {1:2d} {2:2d}  {3:9.6f} {4:9.6f}  {5:.12g}", None, rows),
+        "json": lambda: transforms.field_to_json(field),
+        "csv": lambda: transforms.field_to_csv(field),
+    }
+
+
+def _coefficient_views(vec: transforms.CoefficientVector) -> _Views:
+    from . import transforms
+
+    rows = ((w.a, w.b, v) for w, v in zip(spectrum(vec.family, vec.M).weights(), vec.values))
+    return {
+        **_table(None, " a  b      value", "{0:2d} {1:2d}  {2:.12g}", None, rows),
+        "json": lambda: transforms.coefficients_to_json(vec),
+        "csv": lambda: transforms.coefficients_to_csv(vec),
+    }
+
+
+def _sum_views(osum: OrbitSum, lhs: str) -> _Views:
+    rows = ((osum.family.tag, w.a, w.b, c) for w, c in osum.sorted_terms())
+    return {
+        **_table(None, None, None, "family,a,b,coefficient", rows),
+        "text": lambda: f"{lhs} = {osum.pretty()}",
+        "json": osum.to_json,
+        "latex": lambda: osum.pretty(latex=True),
+    }
 
 
 # ---------------------------------------------------------------- eval
 
 
-def _cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
-    _no_latex(cfg, "eval")
+def _cmd_eval(args: argparse.Namespace) -> int:
+    if args.point and len(args.point) != 2:
+        raise UsageError("a point needs exactly two coordinates")
     family = _family(args.family)
     lam = _weight(args.a, args.b)
 
     if args.grid is not None:
         from . import transforms
 
-        field = transforms.sample_on_grid(family, lam, args.grid)
-        if cfg.fmt == "json":
-            _emit(transforms.field_to_json(field), args.out)
-        elif cfg.fmt == "csv":
-            _emit(transforms.field_to_csv(field), args.out)
-        else:
-            _emit(_field_text(field), args.out)
+        _render(args, "eval", _field_views(transforms.sample_on_grid(family, lam, args.grid)))
         return 0
 
-    if args.point is None:
+    if not args.point:
         raise UsageError("eval needs either a point (x1 x2) or --grid M")
     p = Point(_coord(args.point[0]), _coord(args.point[1]))
     fv = evaluate(family, lam, p)
-    if cfg.fmt == "json":
-        payload = json.dumps(
-            {
-                "family": family.tag,
-                "weight": [lam.a, lam.b],
-                "point": [str(p.x1), str(p.x2)],
-                "value": {"re": fv.value.real, "im": fv.value.imag},
-                "renormalized": fv.renormalized,
-                "admissible": fv.admissible,
-            },
-            indent=2,
-        )
-    elif cfg.fmt == "csv":
-        payload = (
+    _render(args, "eval", {
+        "json": lambda: json.dumps({
+            "family": family.tag, "weight": [lam.a, lam.b], "point": [str(p.x1), str(p.x2)],
+            "value": {"re": fv.value.real, "im": fv.value.imag},
+            "renormalized": fv.renormalized, "admissible": fv.admissible,
+        }, indent=2),
+        "csv": lambda: (
             "family,a,b,x1,x2,re,im,renormalized,admissible\n"
             f"{family.tag},{lam.a},{lam.b},{p.x1},{p.x2},"
             f"{fv.value.real:.17g},{fv.value.imag:.17g},"
             f"{fv.renormalized:.17g},{fv.admissible}\n"
-        )
-    else:
-        payload = (
+        ),
+        "text": lambda: (
             f"{family.tag}_({lam.a},{lam.b}) at ({p.x1}, {p.x2})\n"
             f"value        = {fv.value.real:.12g} {fv.value.imag:+.12g}j\n"
             f"renormalized = {fv.renormalized:.12g}\n"
             f"admissible   = {fv.admissible}"
-        )
-    _emit(payload, args.out)
+        ),
+    })
     return 0
 
 
 # ---------------------------------------------------------------- transform
 
 
-def _cmd_transform(args: argparse.Namespace, cfg: Config) -> int:
+def _cmd_transform(args: argparse.Namespace) -> int:
     import numpy as np
 
     from . import transforms
 
-    _no_latex(cfg, "transform")
     family = _family(args.family)
     M = args.M
 
     if args.forward:
-        field = _read_field(args.forward, family, M)
+        field = _read(args.forward, family, M, "field")
         vec = transforms.forward(family, M, field)
-        if cfg.fmt == "json":
-            _emit(transforms.coefficients_to_json(vec), args.out)
-        elif cfg.fmt == "csv":
-            _emit(transforms.coefficients_to_csv(vec), args.out)
-        else:
-            _emit(_coeff_text(vec), args.out)
-        if args.roundtrip:
-            back = transforms.inverse(family, M, vec)
-            mask = transforms.support_mask(family, M)
-            err = float(np.max(np.abs((back.values - field.values) * mask), initial=0.0))
-            print(f"roundtrip max abs error (on support) = {err:.3e}")
-            return 0 if err <= cfg.tol else 1
-        return 0
-
-    vec = _read_coefficients(args.inverse, family, M)
-    field = transforms.inverse(family, M, vec)
-    if cfg.fmt == "json":
-        _emit(transforms.field_to_json(field), args.out)
-    elif cfg.fmt == "csv":
-        _emit(transforms.field_to_csv(field), args.out)
+        _render(args, "transform", _coefficient_views(vec))
+        if not args.roundtrip:
+            return 0
+        back = transforms.inverse(family, M, vec)
+        mask = transforms.support_mask(family, M)
+        err = float(np.max(np.abs((back.values - field.values) * mask), initial=0.0))
+        where = " (on support)"
     else:
-        _emit(_field_text(field), args.out)
-    if args.roundtrip:
+        vec = _read(args.inverse, family, M, "coefficients")
+        field = transforms.inverse(family, M, vec)
+        _render(args, "transform", _field_views(field))
+        if not args.roundtrip:
+            return 0
         back = transforms.forward(family, M, field)
         err = float(np.max(np.abs(back.values - vec.values), initial=0.0))
-        print(f"roundtrip max abs error = {err:.3e}")
-        return 0 if err <= cfg.tol else 1
-    return 0
+        where = ""
+    print(f"roundtrip max abs error{where} = {err:.3e}")
+    return 0 if err <= args.tol else 1
 
 
 # ---------------------------------------------------------------- decompose
 
 
-def _orbit_sum_payload(osum, cfg: Config) -> str:
-    if cfg.fmt == "json":
-        return osum.to_json()
-    if cfg.fmt == "latex":
-        return osum.pretty(latex=True)
-    if cfg.fmt == "csv":
-        lines = ["family,a,b,coefficient"]
-        for w, c in osum.sorted_terms():
-            lines.append(f"{osum.family.tag},{w.a},{w.b},{c}")
-        return "\n".join(lines) + "\n"
-    return osum.pretty()
-
-
-def _cmd_decompose(args: argparse.Namespace, cfg: Config) -> int:
+def _cmd_decompose(args: argparse.Namespace) -> int:
     fam_a = _family(args.family_a)
     lam_a = _weight(args.a_a, args.b_a)
     fam_b = _family(args.family_b)
@@ -264,169 +244,99 @@ def _cmd_decompose(args: argparse.Namespace, cfg: Config) -> int:
     if args.check is not None and args.check < 1:
         raise UsageError(f"--check needs a positive number of points, got {args.check}")
     osum = expand_product(fam_a, lam_a, fam_b, lam_b)
-    lhs = (
-        f"{fam_a.tag}_({lam_a.a},{lam_a.b}) * {fam_b.tag}_({lam_b.a},{lam_b.b})"
-    )
-    if cfg.fmt == "text":
-        _emit(f"{lhs} = {osum.pretty()}", args.out)
-    else:
-        _emit(_orbit_sum_payload(osum, cfg), args.out)
+    lhs = f"{fam_a.tag}_({lam_a.a},{lam_a.b}) * {fam_b.tag}_({lam_b.a},{lam_b.b})"
+    _render(args, "decompose", _sum_views(osum, lhs))
 
     if args.check:
-        err = product_check(
-            fam_a, lam_a, fam_b, lam_b, osum, n=args.check, seed=cfg.seed
-        )
+        err = product_check(fam_a, lam_a, fam_b, lam_b, osum, n=args.check, seed=args.seed)
         print(f"numeric check over {args.check} random points: "
               f"max relative error = {err:.3e}")
-        return 0 if err <= cfg.tol else 1
+        return 0 if err <= args.tol else 1
     return 0
 
 
 # ---------------------------------------------------------------- tables
 
 
-def _cmd_tables(args: argparse.Namespace, cfg: Config) -> int:
+def _cmd_tables(args: argparse.Namespace) -> int:
     if args.rational:
-        _no_latex(cfg, "tables --rational")
-        table = rational_table()
-        if cfg.fmt == "json":
-            payload = json.dumps(
-                {
-                    "columns": [
-                        {"M": kp.M, "kac": [kp.s0, kp.s1, kp.s2]}
-                        for kp in table.columns
-                    ],
-                    "rows": {label: list(vals) for label, vals in table.rows},
-                },
-                indent=2,
-            )
-        elif cfg.fmt == "csv":
-            payload = table.to_csv()
-        else:
-            head = "function".ljust(10) + "".join(
+        kind, table = "rational", rational_table()
+        views = _table(
+            None,
+            "function".ljust(10) + "".join(
                 f"[{kp.s0},{kp.s1},{kp.s2}]/{kp.M}".rjust(12) for kp in table.columns
-            )
-            lines = [head]
-            for label, vals in table.rows:
-                lines.append(label.ljust(10) + "".join(f"{v:12d}" for v in vals))
-            payload = "\n".join(lines)
-        _emit(payload, args.out)
-        return 0
-
-    if args.grid is not None:
-        _no_latex(cfg, "tables --grid")
-        grid = grid_points(args.grid)
-        if cfg.fmt == "json":
-            payload = grid_to_json(grid)
-        elif cfg.fmt == "csv":
-            lines = ["s0,s1,s2,x1,x2,weight"]
-            for kp, c in zip(grid.points, grid.weights):
-                p = kp.point()
-                lines.append(f"{kp.s0},{kp.s1},{kp.s2},{p.x1},{p.x2},{c}")
-            payload = "\n".join(lines) + "\n"
-        else:
-            lines = [f"grid of level M={grid.M}: {len(grid)} points, "
-                     f"total weight {sum(grid.weights)}"]
-            lines.append("s0 s1 s2  weight")
-            for kp, c in zip(grid.points, grid.weights):
-                lines.append(f"{kp.s0:2d} {kp.s1:2d} {kp.s2:2d}  {c:2d}")
-            payload = "\n".join(lines)
-        _emit(payload, args.out)
-        return 0
-
-    if args.spectrum is not None:
-        _no_latex(cfg, "tables --spectrum")
-        family = _family(args.spectrum[0])
+            ),
+            "{:10}" + "{:12d}" * len(table.columns),
+            None,
+            ((label, *vals) for label, vals in table.rows),
+        )
+        views["csv"] = table.to_csv
+        views["json"] = lambda: json.dumps({
+            "columns": [{"M": kp.M, "kac": [kp.s0, kp.s1, kp.s2]} for kp in table.columns],
+            "rows": {label: list(vals) for label, vals in table.rows},
+        }, indent=2)
+    elif args.grid is not None:
+        kind, grid = "grid", grid_points(args.grid)
+        views = _table(
+            f"grid of level M={grid.M}: {len(grid)} points, total weight {sum(grid.weights)}",
+            "s0 s1 s2  weight",
+            "{0:2d} {1:2d} {2:2d}  {5:2d}",
+            "s0,s1,s2,x1,x2,weight",
+            ((kp.s0, kp.s1, kp.s2, *kp.point(), c) for kp, c in zip(grid.points, grid.weights)),
+        )
+        views["json"] = lambda: grid_to_json(grid)
+    elif args.spectrum is not None:
+        kind, family = "spectrum", _family(args.spectrum[0])
         M = int(args.spectrum[1])
         sp = spectrum(family, M)
-        if cfg.fmt == "json":
-            payload = json.dumps(
-                {
-                    "family": family.tag,
-                    "M": M,
-                    "entries": [
-                        {
-                            "weight": [e.weight.a, e.weight.b],
-                            "h": str(e.h),
-                            "norm": str(12 * M * M * e.h),
-                        }
-                        for e in sp.entries
-                    ],
-                },
-                indent=2,
-            )
-        elif cfg.fmt == "csv":
-            lines = ["a,b,h,norm"]
-            for e in sp.entries:
-                lines.append(f"{e.weight.a},{e.weight.b},{e.h},{12 * M * M * e.h}")
-            payload = "\n".join(lines) + "\n"
-        else:
-            lines = [f"spectrum of {family.tag} at level M={M}: "
-                     f"{len(sp.entries)} weights"]
-            lines.append(" a  b     h      norm")
-            for e in sp.entries:
-                lines.append(
-                    f"{e.weight.a:2d} {e.weight.b:2d}  {str(e.h):>5s}  "
-                    f"{str(12 * M * M * e.h):>8s}"
-                )
-            payload = "\n".join(lines)
-        _emit(payload, args.out)
-        return 0
-
-    if args.char is not None:
-        variant = args.char[0]
+        views = _table(
+            f"spectrum of {family.tag} at level M={M}: {len(sp.entries)} weights",
+            " a  b     h      norm",
+            "{0:2d} {1:2d}  {2!s:>5}  {3!s:>8}",
+            "a,b,h,norm",
+            ((w.a, w.b, h, 12 * M * M * h) for w, h in sp.entries),
+        )
+        views["json"] = lambda: json.dumps({
+            "family": family.tag, "M": M, "entries": [
+                {"weight": [w.a, w.b], "h": str(h), "norm": str(12 * M * M * h)}
+                for w, h in sp.entries
+            ],
+        }, indent=2)
+    elif args.char is not None:
+        kind, variant = "char", args.char[0]
         if variant not in ("full", "L", "S"):
             raise UsageError(f"character variant must be full, L or S, got {variant!r}")
         lam = _weight(args.char[1], args.char[2])
-        osum = expand_char_in_C(variant, lam)
         name = {"full": "chi", "L": "chi^L", "S": "chi^S"}[variant]
-        if cfg.fmt == "text":
-            _emit(f"{name}_({lam.a},{lam.b}) = {osum.pretty()}", args.out)
-        else:
-            _emit(_orbit_sum_payload(osum, cfg), args.out)
-        return 0
-
-    raise UsageError(
-        "tables needs one of --rational, --grid M, --spectrum FAMILY M, "
-        "--char VARIANT a b"
-    )
+        osum = expand_char_in_C(variant, lam)
+        views = _sum_views(osum, f"{name}_({lam.a},{lam.b})")
+    else:
+        raise UsageError(
+            "tables needs one of --rational, --grid M, --spectrum FAMILY M, "
+            "--char VARIANT a b"
+        )
+    _render(args, f"tables --{kind}", views)
+    return 0
 
 
 # ---------------------------------------------------------------- efo
 
 
-def _cmd_efo(args: argparse.Namespace, cfg: Config) -> int:
-    _no_latex(cfg, "efo")
+def _cmd_efo(args: argparse.Namespace) -> int:
     classes = enumerate_efo(args.M)
-    flags = [is_rational(e) for e in classes]
-    if args.rational_only:
-        pairs = [(e, True) for e, r in zip(classes, flags) if r]
-    else:
-        pairs = list(zip(classes, flags))
-
-    if cfg.fmt == "json":
-        payload = json.dumps(
-            [
-                {"kac": [e.kac.s0, e.kac.s1, e.kac.s2], "order": e.order,
-                 "rational": r}
-                for e, r in pairs
-            ],
-            indent=2,
-        )
-    elif cfg.fmt == "csv":
-        lines = ["s0,s1,s2,order,rational"]
-        for e, r in pairs:
-            lines.append(f"{e.kac.s0},{e.kac.s1},{e.kac.s2},{e.order},{r}")
-        payload = "\n".join(lines) + "\n"
-    else:
-        lines = [f"classes of elements of order exactly {args.M}: {len(pairs)}"]
-        lines.append("s0 s1 s2  rational")
-        for e, r in pairs:
-            lines.append(
-                f"{e.kac.s0:2d} {e.kac.s1:2d} {e.kac.s2:2d}  {'yes' if r else 'no'}"
-            )
-        payload = "\n".join(lines)
-    _emit(payload, args.out)
+    pairs = [(e, r) for e, r in zip(classes, map(is_rational, classes))
+             if r or not args.rational_only]
+    views = _table(
+        f"classes of elements of order exactly {args.M}: {len(pairs)}",
+        "s0 s1 s2  rational",
+        "{0:2d} {1:2d} {2:2d}  {5}",
+        "s0,s1,s2,order,rational",
+        ((*e.kac[:3], e.order, r, "yes" if r else "no") for e, r in pairs),
+    )
+    views["json"] = lambda: json.dumps([
+        {"kac": list(e.kac[:3]), "order": e.order, "rational": r} for e, r in pairs
+    ], indent=2)
+    _render(args, "efo", views)
     return 0
 
 
@@ -476,9 +386,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("M", type=int, help="grid level")
     direction = p_tr.add_mutually_exclusive_group(required=True)
     direction.add_argument("--forward", metavar="FILE",
-                           help="field file (json or csv) to analyze")
+                           help="field file (json, csv or text) to analyze")
     direction.add_argument("--inverse", metavar="FILE",
-                           help="coefficient file (json or csv) to synthesize")
+                           help="coefficient file (json, csv or text) to synthesize")
     p_tr.add_argument("--roundtrip", action="store_true",
                       help="apply the opposite transform and report the error")
 
@@ -486,12 +396,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "decompose", parents=[common],
         help="expand a product of two orbit functions",
     )
-    p_dec.add_argument("family_a")
-    p_dec.add_argument("a_a")
-    p_dec.add_argument("b_a")
-    p_dec.add_argument("family_b")
-    p_dec.add_argument("a_b")
-    p_dec.add_argument("b_b")
+    for name in ("family_a", "a_a", "b_a", "family_b", "a_b", "b_b"):
+        p_dec.add_argument(name)
     p_dec.add_argument("--check", type=int, metavar="N",
                        help="verify numerically at N random interior points")
 
@@ -526,19 +432,14 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = Config(fmt=args.fmt, tol=args.tol, seed=args.seed)
-        if getattr(args, "point", None) is not None and len(args.point) not in (0, 2):
-            raise UsageError("a point needs exactly two coordinates")
-        if getattr(args, "point", None) == []:
-            args.point = None
-        return _COMMANDS[args.command](args, cfg)
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        if args.tol <= 0:
+            raise UsageError(f"tolerance must be positive, got {args.tol}")
+        if args.seed < 0:
+            raise UsageError(f"seed must be nonnegative, got {args.seed}")
+        return _COMMANDS[args.command](args)
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

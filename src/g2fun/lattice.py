@@ -121,25 +121,11 @@ def grid_to_json(grid: Grid) -> str:
     )
 
 
-def grid_from_json(text: str) -> Grid:
-    data = json.loads(text)
-    M = int(data["M"])
-    pts = tuple(KacPoint(s0, s1, s2, M) for s0, s1, s2 in data["points"])
-    weights = tuple(int(w) for w in data["weights"])
-    for kp in pts:
-        if not kp.is_valid:
-            raise ValueError(f"invalid grid point {kp}")
-    if len(weights) != len(pts):
-        raise ValueError("weights and points disagree in length")
-    return Grid(M, pts, weights)
-
-
 __all__ = [
     "Grid",
     "Spectrum",
     "SpectrumEntry",
     "c_weight",
-    "grid_from_json",
     "grid_points",
     "grid_size",
     "grid_to_json",

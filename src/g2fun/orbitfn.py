@@ -22,8 +22,12 @@ from .rootsys import (
     S,
     SL,
     SS,
+    WEYL_GROUP,
     Family,
+    Point,
     Weight,
+    affine_reflect,
+    reflect_point,
     signed_orbit,
 )
 
@@ -87,7 +91,10 @@ def evaluate_real(family: Family, lam: Weight, p) -> float:
 
 
 def sample_values(family: Family, lam: Weight, x1, x2) -> np.ndarray:
-    """Vectorized renormalized values over arrays of point coordinates."""
+    """Vectorized renormalized values over arrays of point coordinates.
+
+    A non-finite coordinate raises ValueError, as in `evaluate`.
+    """
     import numpy as np
 
     lam = Weight(*lam)
@@ -95,6 +102,8 @@ def sample_values(family: Family, lam: Weight, x1, x2) -> np.ndarray:
         raise ValueError(f"{lam} is not dominant")
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
+    if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
+        raise ValueError("point coordinates must be finite")
     total = np.zeros(np.broadcast_shapes(x1.shape, x2.shape), dtype=complex)
     for k1, k2, s in _signed_exponents(family, lam):
         total += s * np.exp(1j * TWO_PI * (k1 * x1 + k2 * x2))
@@ -158,13 +167,18 @@ def boundary_parity(family: Family, wall: str) -> str:
     """Mirror behavior of a family on one wall of the fundamental domain.
 
     "antisymmetric" means the function vanishes on the wall;
-    "symmetric" means its normal derivative does.  The affine wall is a
-    mirror conjugate to the long-root one, so it inherits sigma_r1.
+    "symmetric" means its normal derivative does.  The linear part of
+    the wall's reflection is an element of `WEYL_GROUP` (for the affine
+    wall one conjugate to r1), and its family sign decides.
     """
     if wall not in WALLS:
         raise ValueError(f"wall must be one of {WALLS}, got {wall!r}")
-    sign = {"r1": family.sigma_r1, "r2": family.sigma_r2, "affine": family.sigma_r1}[wall]
-    return "antisymmetric" if sign < 0 else "symmetric"
+    mirror = {"r1": lambda p: reflect_point(1, p), "r2": lambda p: reflect_point(2, p),
+              "affine": affine_reflect}[wall]
+    o, e1, e2 = (mirror(Point(*p)) for p in ((0, 0), (1, 0), (0, 1)))
+    linear = ((e1.x1 - o.x1, e2.x1 - o.x1), (e1.x2 - o.x2, e2.x2 - o.x2))
+    g = next(g for g in WEYL_GROUP if g.matrix == linear)
+    return "antisymmetric" if g.sign(family) < 0 else "symmetric"
 
 
 __all__ = [

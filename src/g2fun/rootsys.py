@@ -105,15 +105,6 @@ def kac_point(s0: int, s1: int, s2: int, M: int) -> KacPoint:
     return kp
 
 
-def point_to_kac(p: Point, M: int) -> KacPoint:
-    """Exact inverse of KacPoint.point for points of F with denominator | M."""
-    s1 = Fraction(p.x1) * M
-    s2 = Fraction(p.x2) * M
-    if s1.denominator != 1 or s2.denominator != 1:
-        raise ValueError(f"{p} is not on the level-{M} lattice")
-    return kac_point(M - 2 * int(s1) - 3 * int(s2), int(s1), int(s2), M)
-
-
 class SignedWeight(NamedTuple):
     """A weight together with the sign its family attaches to it (0 allowed)."""
 
@@ -133,13 +124,6 @@ class Family:
     tag: str
     sigma_r1: int
     sigma_r2: int
-
-    def sigma(self, k: int) -> int:
-        if k == 1:
-            return self.sigma_r1
-        if k == 2:
-            return self.sigma_r2
-        raise ValueError(f"generator index must be 1 or 2, got {k}")
 
     @property
     def real_valued(self) -> bool:
@@ -179,12 +163,6 @@ def height(w: Weight) -> int:
     """Sum of the simple-root coordinates; maximal on the dominant orbit member."""
     k1, k2 = omega_to_alpha(w)
     return k1 + k2
-
-
-def pairing(w: Weight, p: Point) -> Coord:
-    """Scalar product of a weight with a point, exact for exact coordinates."""
-    k1, k2 = omega_to_alpha(w)
-    return k1 * p.x1 + k2 * p.x2
 
 
 def reflect_point(k: int, p: Point) -> Point:
@@ -324,14 +302,6 @@ def signed_orbit(family: Family, lam: Weight) -> tuple[SignedWeight, ...]:
 def weyl_orbit(lam: Weight) -> list[Weight]:
     """Weyl orbit of a dominant weight, ordered by decreasing height."""
     return [sw.weight for sw in signed_orbit(C, lam)]
-
-
-def orbit_sign(family: Family, lam: Weight, mu: Weight) -> int:
-    """Sign the family attaches to orbit member mu of dominant lam."""
-    folded = dominantize(family, mu)
-    if folded.weight != lam:
-        raise ValueError(f"{mu} is not in the orbit of {lam}")
-    return folded.sign
 
 
 def fold_to_F(p: Point) -> Point:

@@ -305,6 +305,9 @@ def field_to_csv(f: SampledField) -> str:
 
 
 def _csv_rows(text: str, *columns: str) -> list[tuple[str, ...]]:
+    if "," not in text.partition("\n")[0]:
+        # a text table as the CLI prints it: blank-separated columns
+        text = "\n".join(",".join(line.split()) for line in text.splitlines())
     reader = csv.DictReader(io.StringIO(text))
     missing = [c for c in columns if c not in (reader.fieldnames or ())]
     if missing:

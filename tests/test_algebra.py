@@ -151,6 +151,13 @@ def test_random_products_match_pointwise_evaluation(rng):
         assert g.product_check(fa, la, fb, lb, out, n=10, seed=int(rng.integers(1 << 30))) < 1e-9
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_product_check_needs_a_positive_count(n):
+    out = g.expand_product(C, Weight(1, 0), C, Weight(1, 0))
+    with pytest.raises(ValueError, match="positive"):
+        g.product_check(C, Weight(1, 0), C, Weight(1, 0), out, n=n)
+
+
 # ------------------------------------------------------------ character lines
 
 CHAR_LINES = {
@@ -261,30 +268,6 @@ def test_inverse_line_origin_dimension_check():
 def test_non_downward_closed_set_is_rejected():
     with pytest.raises(ValueError):
         g.char_expansion_matrix([(1, 1)])
-
-
-# ------------------------------------------------------------ recurrences
-
-
-def test_recurrence_reproduces_low_product():
-    rec = g.recurrence(C, Weight(0, 1), C, Weight(1, 0))
-    assert rec.expansion == _sum(C, [((1, 1), 1), ((0, 2), 2), ((0, 1), 2)])
-    text = rec.pretty()
-    assert "*" in text and "=" in text and text.startswith("C(0,1)")
-
-
-def test_recurrence_with_identity_generator():
-    rec = g.recurrence(C, Weight(0, 0), SS, Weight(0, 2))
-    assert rec.expansion == OrbitSum(SS, {Weight(0, 2): 1})
-
-
-def test_recurrence_crossing_families_numerically():
-    rec = g.recurrence(C, Weight(1, 0), S, Weight(1, 1))
-    assert rec.expansion.family == S
-    for p in random_interior_points(20, seed=11):
-        lhs = g.evaluate(C, Weight(1, 0), p).value * g.evaluate(S, Weight(1, 1), p).value
-        rhs = g.evaluate_sum(rec.expansion, p)
-        assert abs(lhs - rhs) < 1e-9
 
 
 # ------------------------------------------------------------ container behavior

@@ -130,6 +130,13 @@ def test_rational_table_csv_shape():
     assert lines[1].startswith('"C(1,0)",6,-2,')
 
 
+def test_a_non_integer_table_value_is_a_runtime_error():
+    # an explicit raise, which `python -O` keeps, unlike an assert
+    assert g.arith._rounded(3.0 + 1e-12) == 3
+    with pytest.raises(RuntimeError, match="integer"):
+        g.arith._rounded(2.5)
+
+
 def test_rational_table_as_dict():
     d = rational_table().as_dict()
     assert d["chi(1,1)"][0] == 64

@@ -6,11 +6,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import g2fun as g
 from g2fun import C, SS, Weight
 from g2fun.cli import main
 
+from cli_corpus import GOLDEN, run_case, run_corpus, write_fixtures
 from conftest import run_python
 
 
@@ -188,6 +191,21 @@ def test_transform_rejects_bad_coefficient_tag(tmp_path, capsys, tag):
     assert code == 2 and err.startswith("error: ")
 
 
+def test_text_tables_are_valid_transform_input(tmp_path, capsys):
+    # eval --grid -> text -> forward -> text -> inverse -> text -> forward
+    grid, coef, field, again = (str(tmp_path / n) for n in ("g.txt", "c.txt", "f.txt", "c2.txt"))
+    assert run(capsys, "eval", "C", "1", "0", "--grid", "6", "--out", grid)[0] == 0
+    for argv in (["--forward", grid, "--out", coef],
+                 ["--inverse", coef, "--out", field],
+                 ["--forward", field, "--out", again, "--roundtrip"]):
+        code, _, err = run(capsys, "transform", "C", "6", *argv)
+        assert code == 0, err
+    values = g.coefficients_from_csv((tmp_path / "c2.txt").read_text(), C, 6).values
+    want = np.zeros(len(values))
+    want[g.spectrum(C, 6).weights().index((1, 0))] = 1.0
+    assert np.allclose(values, want, atol=1e-9)
+
+
 def test_nan_coefficients_are_a_usage_error(tmp_path, capsys):
     n = len(g.spectrum(C, 6))
     path = tmp_path / "coef.json"
@@ -298,6 +316,71 @@ def test_bad_argv_exits_2_with_an_error_line(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.strip().splitlines()[-1].startswith("error: ")
+
+
+# ------------------------------------------------------------ generated argv
+
+_FAMILY = st.sampled_from(["C", "S", "SL", "ss", "Q", ""])
+_INT = st.sampled_from(["0", "1", "2", "-1", "x", "1.5", ""])
+_LEVEL = st.sampled_from(["1", "4", "6", "0", "-2", "x"])
+_COORD = st.sampled_from(["1/3", "0.1", "-2", "1e400", "inf", "nan", "1/0", "x"])
+_FILE = st.sampled_from(["field.json", "coef.json", "field.csv", "coef.csv", "nan.json",
+                         "bad.json", "list.json", "garbage.txt", "missing.json", "."])
+
+
+def _argv(path):
+    """argv for one command; `path` maps a file name to its location."""
+    return st.one_of(
+        st.tuples(st.just("eval"), _FAMILY, _INT, _INT, _COORD, _COORD),
+        st.tuples(st.just("eval"), _FAMILY, _INT, _INT, st.just("--grid"), _LEVEL),
+        st.tuples(st.just("transform"), _FAMILY, _LEVEL,
+                  st.sampled_from(["--forward", "--inverse"]), _FILE.map(path),
+                  st.sampled_from(["--roundtrip", "--tol=1e-30", "--tol=nan"])),
+        st.tuples(st.just("decompose"), _FAMILY, _INT, _INT, _FAMILY, _INT, _INT,
+                  st.sampled_from(["--check=3", "--check=0", "--check=x", "--seed=-1"])),
+        st.tuples(st.just("tables"), st.just("--rational")),
+        st.tuples(st.just("tables"), st.just("--grid"), _LEVEL),
+        st.tuples(st.just("tables"), st.just("--spectrum"), _FAMILY, _LEVEL),
+        st.tuples(st.just("tables"), st.just("--char"),
+                  st.sampled_from(["full", "L", "S", "X"]), _INT, _INT),
+        st.tuples(st.just("efo"), _LEVEL, st.sampled_from(["--rational-only", "--tol=0"])),
+    )
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("argv")
+    write_fixtures(tmp)
+    (tmp / "bad.json").write_text("{not json")
+    (tmp / "list.json").write_text('{"M": 6, "family": "C", "values": [[1.0]]}')
+    (tmp / "garbage.txt").write_text("hello world\n1 2\n")
+    return tmp
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_generated_argv_exits_0_1_or_2(argv_dir, data):
+    argv = list(data.draw(_argv(lambda name: str(argv_dir / name))))
+    argv += ["--format", data.draw(st.sampled_from(["text", "json", "csv", "latex"]))]
+    record = run_case(argv, argv_dir)  # any exception but SystemExit escapes
+    assert record["exit"] in (0, 1, 2), argv
+    if record["exit"] == 2:
+        lines = record["stderr"].splitlines()
+        assert "Traceback" not in record["stderr"]
+        assert lines and "error: " in lines[-1], argv
+        assert sum("error:" in line for line in lines) == 1, argv
+
+
+# ------------------------------------------------------------ pinned output
+
+
+def test_cli_output_matches_golden(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    got = run_corpus(tmp_path)
+    assert [c["argv"] for c in got] == [c["argv"] for c in golden]
+    for want, have in zip(golden, got):
+        assert have == want, want["argv"]
 
 
 # ------------------------------------------------------------ process-level

@@ -1,5 +1,6 @@
 """Lattice grids on the fundamental domain and the matching weight spectra."""
 
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -196,7 +197,9 @@ def test_normalization_exponent_cases():
 @pytest.mark.parametrize("M", [1, 2, 6, 17])
 def test_grid_json_roundtrip(M):
     grid = g.grid_points(M)
-    assert g.grid_from_json(g.grid_to_json(grid)) == grid
+    data = json.loads(g.grid_to_json(grid))
+    points = tuple(g.kac_point(s0, s1, s2, data["M"]) for s0, s1, s2 in data["points"])
+    assert g.Grid(data["M"], points, tuple(data["weights"])) == grid
 
 
 def test_grid_rejects_nonpositive_level():

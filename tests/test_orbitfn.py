@@ -22,7 +22,8 @@ TWO_PI = 2.0 * math.pi
 
 def _cos_sum(members, p):
     return 2.0 * sum(
-        math.cos(TWO_PI * float(g.pairing(Weight(*m), p))) for m in members
+        math.cos(TWO_PI * float(k1 * p[0] + k2 * p[1]))
+        for k1, k2 in map(g.rootsys.omega_to_alpha, map(Weight._make, members))
     )
 
 
@@ -70,9 +71,11 @@ def test_weyl_covariance(rng):
             lam = random_dominant_weight(rng, fam)
             p = random_interior_points(rng, 1)[0]
             base = g.evaluate(fam, lam, p).value
-            for k in (1, 2):
-                moved = g.evaluate(fam, lam, g.rootsys.reflect_point(k, p)).value
-                assert abs(moved - fam.sigma(k) * base) < 1e-9
+            for w in g.rootsys.WEYL_GROUP:
+                (m11, m12), (m21, m22) = w.matrix
+                moved = Point(m11 * p.x1 + m12 * p.x2, m21 * p.x1 + m22 * p.x2)
+                value = g.evaluate(fam, lam, moved).value
+                assert abs(value - w.sign(fam) * base) < 1e-9
 
 
 def test_translation_periodicity(rng):
@@ -108,9 +111,12 @@ def test_integer_shifts_of_exact_points_leave_the_value_unchanged(fam, a, b, x1,
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
 @pytest.mark.parametrize("fam", [C, S], ids=["C", "S-inadmissible"])
 def test_non_finite_coordinates_are_rejected(fam, bad):
+    # the scalar and the vectorized evaluator reject the same points
     for p in [(bad, 0.1), (0.1, bad)]:
         with pytest.raises(ValueError, match="finite"):
             g.evaluate(fam, Weight(1, 0), p)
+        with pytest.raises(ValueError, match="finite"):
+            g.sample_values(fam, Weight(1, 0), [0.2, p[0]], [0.1, p[1]])
 
 
 def test_realness_by_family(rng):
