@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -287,7 +288,12 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         views["json"] = lambda: grid_to_json(grid)
     elif args.spectrum is not None:
         kind, family = "spectrum", _family(args.spectrum[0])
-        M = int(args.spectrum[1])
+        try:
+            M = int(args.spectrum[1])
+        except ValueError:
+            raise UsageError(
+                f"argument --spectrum: invalid int value for M: {args.spectrum[1]!r}"
+            ) from None
         sp = spectrum(family, M)
         views = _table(
             f"spectrum of {family.tag} at level M={M}: {len(sp.entries)} weights",
@@ -434,8 +440,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.tol <= 0:
-            raise UsageError(f"tolerance must be positive, got {args.tol}")
+        if not 0 < args.tol < math.inf:
+            what = "positive" if math.isfinite(args.tol) else "finite"
+            raise UsageError(f"tolerance must be {what}, got {args.tol}")
         if args.seed < 0:
             raise UsageError(f"seed must be nonnegative, got {args.seed}")
         return _COMMANDS[args.command](args)

@@ -9,6 +9,13 @@ discrete inner products come out as 12 * M^2 * h on the diagonal.
 Both follow from `rootsys.stabilizer`: a weight with 3a + 2b <= M
 belongs to a family's spectrum unless an element fixing it modulo M has
 sign -1 in the family, and h = |Stab_M| / |Stab|^2.
+
+The spectrum is also the dual grid: the grid points s off the walls of
+the dual family (SL and SS swapped), read as weights lam = (s2, s1) in
+grid order, with |Stab_M lam| = 12 / c_s.  The transforms read their
+tables off that integer form with numpy, which makes a cold transform
+about twice a warm one; these exact builders serve the exact commands
+and the CSV files.
 """
 
 from __future__ import annotations

@@ -10,6 +10,10 @@ transforms therefore extend the data to the whole torus with the
 family signs and take one 2-D FFT: O(M^2 log M) time and O(M^2) memory
 per call.  `basis_matrix`, the dense sampled basis they are equivalent
 to, is the reference oracle for tests and Gram checks only.
+
+The tables come from one integer array per level (`_level_table`), not
+from `lattice`; the spectrum is read off it as the dual grid (`lattice`
+docstring), so a level new to the process costs about twice a warm call.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import Grid, grid_points, spectrum
+from .lattice import grid_points, spectrum
 from .orbitfn import sample_values
-from .rootsys import WEYL_GROUP, Family, Weight, family_by_tag, omega_to_alpha
+from .rootsys import FAMILIES, WEYL_GROUP, Family, Weight, family_by_tag
 
 SQRT3 = math.sqrt(3.0)
 
@@ -43,6 +47,13 @@ def _finite_values(values, what: str) -> np.ndarray:
     return arr
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only because the lru caches share them."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 @dataclass
 class SampledField:
     """Values of a function on the level-M grid, in grid enumeration order."""
@@ -53,11 +64,9 @@ class SampledField:
 
     def __post_init__(self) -> None:
         self.values = _finite_values(self.values, "field values")
-        if len(self.values) != len(grid_points(self.M)):
-            raise ValueError(
-                f"expected {len(grid_points(self.M))} values for level {self.M}, "
-                f"got {len(self.values)}"
-            )
+        n = _level_table(self.M)[0].shape[1]
+        if len(self.values) != n:
+            raise ValueError(f"expected {n} values for level {self.M}, got {len(self.values)}")
 
 
 @dataclass
@@ -70,22 +79,34 @@ class CoefficientVector:
 
     def __post_init__(self) -> None:
         self.values = _finite_values(self.values, "coefficients")
-        if len(self.values) != len(spectrum(self.family, self.M)):
-            raise ValueError(
-                f"expected {len(spectrum(self.family, self.M))} coefficients "
-                f"for {self.family} at level {self.M}, got {len(self.values)}"
-            )
+        n = _spectral_table(self.family, self.M)[0].shape[1]
+        if len(self.values) != n:
+            raise ValueError(f"expected {n} coefficients for {self.family} "
+                             f"at level {self.M}, got {len(self.values)}")
+
+
+_WEYL_MATRICES = np.array([w.matrix for w in WEYL_GROUP])
+
+
+@lru_cache(maxsize=None)
+def _level_table(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid points (s1, s2) as a 2 x N array in `lattice.grid_points` order,
+    and the flat torus index s1 * M + s2 of w.s mod M, one row per Weyl
+    element (identity first)."""
+    if M < 1:
+        raise ValueError(f"level must be a positive integer, got {M}")
+    s2, s1 = np.divmod(np.arange((M // 3 + 1) * (M // 2 + 1)), M // 2 + 1)
+    inside = 2 * s1 + 3 * s2 <= M
+    s = np.stack((s1[inside], s2[inside]))
+    images = (_WEYL_MATRICES @ s) % M
+    return _frozen(s, images[:, 0] * M + images[:, 1])
 
 
 @lru_cache(maxsize=None)
 def _grid_arrays(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    grid = grid_points(M)
-    x1 = np.array([kp.s1 / M for kp in grid.points])
-    x2 = np.array([kp.s2 / M for kp in grid.points])
-    w = np.array(grid.weights, dtype=float)
-    for arr in (x1, x2, w):
-        arr.flags.writeable = False
-    return x1, x2, w
+    """Grid coordinates x1, x2 and the weights c_s = 12 / |Stab_M s|."""
+    (s1, s2), images = _level_table(M)
+    return _frozen(s1 / M, s2 / M, 12.0 / (images == images[0]).sum(axis=0))
 
 
 def sample_on_grid(family: Family, lam: Weight, M: int) -> SampledField:
@@ -121,44 +142,27 @@ def norm_constants(family: Family, M: int) -> np.ndarray:
     return np.array([12.0 * M * M * float(h) for _, h in sp.entries])
 
 
-_WEYL_MATRICES = np.array([w.matrix for w in WEYL_GROUP])
-
-
 @lru_cache(maxsize=None)
 def _signs(family: Family) -> np.ndarray:
-    signs = np.array([w.sign(family) for w in WEYL_GROUP], dtype=float)
-    signs.flags.writeable = False
-    return signs
-
-
-@lru_cache(maxsize=None)
-def _torus_images(M: int) -> np.ndarray:
-    """Flat torus index s1 * M + s2 of w.s mod M, one row per Weyl element
-    (identity first), one column per grid point s."""
-    s = np.array([(kp.s1, kp.s2) for kp in grid_points(M).points]).T
-    images = (_WEYL_MATRICES @ s) % M
-    flat = images[:, 0] * M + images[:, 1]
-    flat.flags.writeable = False
-    return flat
+    return _frozen(np.array([w.sign(family) for w in WEYL_GROUP], dtype=float))[0]
 
 
 @lru_cache(maxsize=None)
 def _spectral_table(family: Family, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Torus frequencies of the spectrum weights and their stabilizer sizes.
 
-    Returns the flat frequency index of w.lam mod M (rows as in
-    `_torus_images`, columns in spectrum order), |Stab lam| and the
-    forward divisor |Stab lam| * M^2 * h.
+    The spectrum is the dual grid (`lattice` docstring).  Returns the flat
+    frequency index of w.lam mod M (rows as in `_level_table`, columns in
+    spectrum order), |Stab lam| and the forward divisor
+    |Stab lam| * M^2 * h = 12 * M^2 / (c_s * |Stab lam|).
     """
-    sp = spectrum(family, M)
-    k = np.array([omega_to_alpha(lam) for lam, _ in sp.entries], dtype=int).reshape(-1, 2).T
-    images = _WEYL_MATRICES.transpose(0, 2, 1) @ k
+    swapped = (family.sigma_r2, family.sigma_r1)
+    keep = support_mask(next(f for f in FAMILIES if (f.sigma_r1, f.sigma_r2) == swapped), M)
+    b, a = _level_table(M)[0][:, keep]
+    images = _WEYL_MATRICES.transpose(0, 2, 1) @ np.stack((2 * a + b, 3 * a + 2 * b))
     stab = (images == images[0]).all(axis=1).sum(axis=0).astype(float)
     freq = (images[:, 0] % M) * M + images[:, 1] % M
-    divisor = stab * (M * M) * np.array([float(h) for _, h in sp.entries])
-    for arr in (freq, stab, divisor):
-        arr.flags.writeable = False
-    return freq, stab, divisor
+    return _frozen(freq, stab, 12.0 * M * M / (_grid_arrays(M)[2][keep] * stab))
 
 
 def forward(family: Family, M: int, f: SampledField) -> CoefficientVector:
@@ -174,7 +178,7 @@ def forward(family: Family, M: int, f: SampledField) -> CoefficientVector:
     freq, _, divisor = _spectral_table(family, M)
     values = np.where(support_mask(family, M), f.values, 0.0)
     torus = np.zeros(M * M)
-    torus[_torus_images(M)] = _signs(family)[:, None] * values
+    torus[_level_table(M)[1]] = _signs(family)[:, None] * values
     spec = np.fft.fft2(torus.reshape(M, M)).ravel()[freq[0]].conj()
     part = spec.real if family.real_valued else spec.imag
     return CoefficientVector(family, M, part / divisor)
@@ -192,7 +196,7 @@ def inverse(family: Family, M: int, d: CoefficientVector) -> SampledField:
     freq, stab, _ = _spectral_table(family, M)
     amplitudes = _signs(family)[:, None] * (d.values / stab)
     spec = np.bincount(freq.ravel(), weights=amplitudes.ravel(), minlength=M * M)
-    torus = np.fft.ifft2(spec.reshape(M, M)).ravel()[_torus_images(M)[0]] * (M * M)
+    torus = np.fft.ifft2(spec.reshape(M, M)).ravel()[_level_table(M)[1][0]] * (M * M)
     return SampledField(M, torus.real if family.real_valued else torus.imag, family)
 
 
@@ -204,11 +208,9 @@ def support_mask(family: Family, M: int) -> np.ndarray:
     family sign -1 (it lies on an antisymmetric wall); on the remaining
     points the sampled basis is square and invertible.  Read-only.
     """
-    images = _torus_images(M)
+    images = _level_table(M)[1]
     flips = (images == images[0]) & (_signs(family)[:, None] < 0)
-    keep = ~flips.any(axis=0)
-    keep.flags.writeable = False
-    return keep
+    return _frozen(~flips.any(axis=0))[0]
 
 
 @lru_cache(maxsize=None)
@@ -224,9 +226,7 @@ def _triangle_rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x1g = np.repeat(x1, order)
     x2g = (np.outer(span, u)).ravel()
     wg = (np.outer(w * span, w)).ravel() / 8.0
-    for arr in (x1g, x2g, wg):
-        arr.flags.writeable = False
-    return x1g, x2g, wg
+    return _frozen(x1g, x2g, wg)
 
 
 def continuous_inner(

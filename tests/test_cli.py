@@ -149,6 +149,26 @@ def test_transform_roundtrip_exit_code_reflects_tolerance(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("tol,what", [
+    ("nan", "finite"), ("inf", "finite"), ("-inf", "finite"), ("0", "positive"), ("-1", "positive"),
+])
+def test_checks_reject_a_tolerance_that_is_not_finite_and_positive(tmp_path, capsys, tol, what):
+    # nan would fail every check (exit 1) and inf would pass every one
+    field_file = tmp_path / "field.json"
+    field_file.write_text(g.field_to_json(g.sample_on_grid(C, Weight(1, 0), 6)))
+    for argv in (["decompose", "S", "1", "1", "S", "1", "1", "--check", "3"],
+                 ["transform", "C", "6", "--forward", str(field_file), "--roundtrip"]):
+        code, out, err = run(capsys, *argv, f"--tol={tol}")
+        assert code == 2 and out == ""
+        assert err == f"error: tolerance must be {what}, got {float(tol)}\n"
+
+
+def test_spectrum_level_error_names_the_option(capsys):
+    code, out, err = run(capsys, "tables", "--spectrum", "S", "x")
+    assert code == 2 and out == ""
+    assert err == "error: argument --spectrum: invalid int value for M: 'x'\n"
+
+
 def test_transform_missing_file_is_a_usage_error(capsys):
     code, _, err = run(capsys, "transform", "C", "6", "--forward", "/nonexistent.json")
     assert code == 2 and err

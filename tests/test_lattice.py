@@ -155,6 +155,23 @@ def test_spectrum_equals_wall_rules(fam):
         assert all(type(h) is Fraction for _, h in got)
 
 
+_DUAL = {C: C, S: S, SL: SS, SS: SL}
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.tag)
+def test_spectrum_is_the_dual_grid(fam):
+    # The grid points kept by the dual family's support rule, read as
+    # lam = (s2, s1) in grid order, with h = 12 / (c_s * |Stab lam|^2).
+    for M in range(1, 61):
+        grid = g.grid_points(M)
+        dual = []
+        for kp, c, keep in zip(grid.points, grid.weights, g.support_mask(_DUAL[fam], M)):
+            lam = Weight(kp.s2, kp.s1)
+            if keep:
+                dual.append((lam, Fraction(12, c * len(g.rootsys.stabilizer(lam)) ** 2)))
+        assert list(g.spectrum(fam, M).entries) == dual, M
+
+
 @given(st.integers(1, 60))
 @settings(max_examples=40, deadline=None)
 def test_spectrum_sizes_match_transform_shapes(M):

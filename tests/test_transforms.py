@@ -175,9 +175,74 @@ def test_support_mask_equals_wall_rules(M):
 
 @pytest.mark.parametrize("M", [1, 2, 3, 6, 7, 12, 13])
 def test_grid_weights_are_torus_orbit_sizes(M):
-    images = g.transforms._torus_images(M)
+    images = g.transforms._level_table(M)[1]
     sizes = [len(set(col)) for col in images.T]
     assert sizes == list(g.grid_points(M).weights)
+
+
+# ------------------------------------------------------------ dual-grid tables = exact oracle
+
+
+def _grid_oracle(M):
+    # Grid coordinates, weights and torus images read off the KacPoints.
+    grid = g.grid_points(M)
+    s = np.array([(kp.s1, kp.s2) for kp in grid.points]).T
+    images = (g.transforms._WEYL_MATRICES @ s) % M
+    x1 = np.array([kp.s1 / M for kp in grid.points])
+    x2 = np.array([kp.s2 / M for kp in grid.points])
+    w = np.array(grid.weights, dtype=float)
+    return s, images[:, 0] * M + images[:, 1], (x1, x2, w)
+
+
+def _spectral_table_oracle(fam, M):
+    # The table as built from lattice.spectrum: weights through
+    # omega_to_alpha and the exact h of each entry.
+    sp = g.spectrum(fam, M)
+    k = np.array([g.rootsys.omega_to_alpha(lam) for lam, _ in sp.entries], dtype=int)
+    images = g.transforms._WEYL_MATRICES.transpose(0, 2, 1) @ k.reshape(-1, 2).T
+    stab = (images == images[0]).all(axis=1).sum(axis=0).astype(float)
+    freq = (images[:, 0] % M) * M + images[:, 1] % M
+    divisor = stab * (M * M) * np.array([float(h) for _, h in sp.entries])
+    return freq, stab, divisor
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=str)
+def test_dual_grid_tables_equal_the_exact_oracle(fam):
+    for M in range(1, 61):
+        s, images, arrays = _grid_oracle(M)
+        assert _same_bits(g.transforms._level_table(M)[0], s), M
+        assert _same_bits(g.transforms._level_table(M)[1], images), M
+        for got, want in zip(g.transforms._grid_arrays(M), arrays):
+            assert _same_bits(got, want), M
+        assert _same_bits(g.support_mask(fam, M), _wall_rule_mask(fam, M)), M
+        for got, want in zip(g.transforms._spectral_table(fam, M),
+                             _spectral_table_oracle(fam, M)):
+            assert _same_bits(got, want), M
+
+
+def test_transforms_never_build_the_exact_grid_or_spectrum(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the transform path called an exact lattice builder")
+
+    for module in (g.lattice, g.transforms):
+        monkeypatch.setattr(module, "grid_points", refuse)
+        monkeypatch.setattr(module, "spectrum", refuse)
+    for table in (g.transforms._level_table, g.transforms._grid_arrays,
+                  g.transforms.support_mask, g.transforms._spectral_table):
+        table.cache_clear()
+    M = 37
+    values = np.random.default_rng(37).standard_normal(g.grid_size(M))
+    for fam in ALL_FAMILIES:
+        d = g.forward(fam, M, SampledField(M, values, fam))
+        back = g.inverse(fam, M, CoefficientVector(fam, M, d.values))
+        mask = g.support_mask(fam, M)
+        assert np.allclose(back.values[mask], values[mask], atol=1e-10)
+    with pytest.raises(ValueError, match="level must be a positive integer"):
+        SampledField(0, [])
 
 
 # ------------------------------------------------------------ continuous pairing
